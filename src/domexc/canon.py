@@ -3,18 +3,24 @@
 canonical_key computes a label-independent key for graphs of order at
 most 12: a backtracking placement search for the lexicographically
 smallest upper-triangle adjacency string over all vertex orderings.
-Exactness comes from two prunings that never lose the optimum: at each
-position only rows achieving the locally minimal bit block are extended,
-and whole subtrees are cut once their block prefix exceeds the best
-complete string found so far. Orderings that differ only by swapping
-unplaced twins are explored once. Trees of any supported order get an
-AHU-style key via tree_key instead.
+Each unplaced vertex carries its row against the placed prefix down the
+recursion. Exactness comes from prunings that never lose the optimum:
+at each position only rows achieving the locally minimal bit block are
+extended, and whole subtrees are cut once their block prefix exceeds the
+best complete string found so far. Symmetry is pruned as in McKay and
+Piperno's search (Practical graph isomorphism II, 2014): a leaf that
+ties the best string gives an automorphism, the search unwinds to where
+the two orderings part, and a candidate is skipped when an automorphism
+fixing the placed prefix maps an explored sibling onto it. Swapping two
+unplaced twins is such an automorphism, known before the search starts.
+automorphisms hands these maps to the catalog generator. Trees of any
+supported order get an AHU-style key via tree_key instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graphs import Graph, iter_bits, mask_of
 
@@ -67,77 +73,139 @@ def _twin_classes(g: Graph) -> list[int]:
     return cls
 
 
+def _find(parent: list[int], v: int) -> int:
+    """Root of v in a union-find forest, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _lex_min(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Lex-min adjacency bits of g and the automorphisms met on the way.
+
+    Each automorphism p is a tuple with p[v] the image of v; there is one
+    per leaf whose string tied the best one.
+    """
+    n = g.n
+    adj = g.adj
+    twins = _twin_classes(g)
+    order = [0] * n
+    blocks = [0] * n
+    best_blocks: list[int] = []
+    best_order: list[int] = []
+    autos: list[tuple[tuple[int, ...], int]] = []  # (permutation, fixed-point mask)
+
+    def place(depth: int, placed: int, unplaced: list[int], rows: list[int], tight: bool) -> int:
+        """Search below a placed prefix; returns the depth to resume at.
+
+        rows[k] is the adjacency of unplaced[k] to order[:depth], first
+        placed vertex most significant. tight means blocks[:depth] equals
+        best_blocks[:depth]; otherwise the prefix is strictly smaller or
+        no leaf exists yet. A return value below depth unwinds the
+        recursion to the node at that depth.
+        """
+        nonlocal best_blocks, best_order
+        if depth == n:
+            if not tight:
+                best_blocks = blocks.copy()
+                best_order = order.copy()
+                return n
+            # a tie: best_order[i] -> order[i] preserves every adjacency
+            perm = [0] * n
+            fixed = 0
+            first = n
+            for i in range(n):
+                a, b = best_order[i], order[i]
+                perm[a] = b
+                if a == b:
+                    fixed |= 1 << a
+                elif first == n:
+                    first = i
+            autos.append((tuple(perm), fixed))
+            # the subtree below order[:first + 1] mirrors the one below
+            # best_order[:first + 1], already searched
+            return first
+        low = min(rows)
+        if tight:
+            if low > best_blocks[depth]:
+                return n
+            tight = low == best_blocks[depth]
+        blocks[depth] = low
+        explored: list[int] = []
+        seen_twins: set[int] = set()
+        orbits: list[int] | None = None
+        used = 0
+        for k, c in enumerate(unplaced):
+            if rows[k] != low or twins[c] in seen_twins:
+                continue
+            if used < len(autos):
+                # merge orbits under the new automorphisms that fix order[:depth]
+                if orbits is None:
+                    orbits = list(range(n))
+                    for v in range(n):
+                        orbits[_find(orbits, v)] = _find(orbits, twins[v])
+                for perm, fixed in autos[used:]:
+                    if placed & ~fixed == 0:
+                        for v in range(n):
+                            orbits[_find(orbits, v)] = _find(orbits, perm[v])
+                used = len(autos)
+            if orbits is not None:
+                root = _find(orbits, c)
+                if any(_find(orbits, e) == root for e in explored):
+                    continue
+            seen_twins.add(twins[c])
+            explored.append(c)
+            order[depth] = c
+            row_c = adj[c]
+            back = place(
+                depth + 1,
+                placed | 1 << c,
+                [v for v in unplaced if v != c],
+                [r << 1 | (row_c >> v & 1) for v, r in zip(unplaced, rows) if v != c],
+                tight,
+            )
+            if back < depth:
+                return back
+            # a leaf below c now shares blocks[:depth + 1]
+            tight = True
+        return n
+
+    place(0, 0, list(range(n)), [0] * n, False)
+    bits = 0
+    for depth, block in enumerate(best_blocks):
+        bits = bits << depth | block
+    return bits, [perm for perm, _ in autos]
+
+
 def canonical_key(g: Graph) -> IsoKey:
     """Canonical key for g; supported for orders up to 12."""
     if g.n > CANON_CAP:
         raise ValueError(f"canonical_key supports orders up to {CANON_CAP}, got {g.n}")
-    n = g.n
-    if n <= 1:
-        return IsoKey(n, 0)
+    return IsoKey(g.n, _lex_min(g)[0])
 
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Automorphisms of g, each a tuple p with p[v] the image of v.
+
+    A transposition for each pair of consecutive twins, then every
+    automorphism the lex-min search behind canonical_key met. The catalog
+    generator prunes by the group they generate. Orders up to 12.
+    """
+    if g.n > CANON_CAP:
+        raise ValueError(f"automorphisms supports orders up to {CANON_CAP}, got {g.n}")
     twins = _twin_classes(g)
-    adj = g.adj
-    full = g.full_mask
-
-    best_blocks: list[int] | None = None
-    order = [0] * n
-    blocks = [0] * n
-
-    def place(depth: int, placed_mask: int):
-        nonlocal best_blocks
-        if depth == n:
-            if best_blocks is None or blocks < best_blocks:
-                best_blocks = blocks.copy()
-            return
-        candidates: list[int] = []
-        row = None
-        for v in iter_bits(full & ~placed_mask):
-            r = 0
-            for i in range(depth):
-                r = r << 1 | (adj[v] >> order[i] & 1)
-            if row is None or r < row:
-                row = r
-                candidates = [v]
-            elif r == row:
-                candidates.append(v)
-        blocks[depth] = row
-        seen_twin: set[int] = set()
-        for v in candidates:
-            if twins[v] in seen_twin:
-                continue
-            seen_twin.add(twins[v])
-            if best_blocks is not None:
-                # best_blocks may have moved since the last child, recheck
-                for i in range(depth + 1):
-                    if blocks[i] != best_blocks[i]:
-                        if blocks[i] > best_blocks[i]:
-                            return
-                        break
-            order[depth] = v
-            place(depth + 1, placed_mask | (1 << v))
-
-    place(0, 0)
-    assert best_blocks is not None
-    bits = 0
-    for depth, block in enumerate(best_blocks):
-        bits = bits << depth | block
-    return IsoKey(n, bits)
-
-
-def _brute_key(g: Graph) -> IsoKey:
-    """Reference key by exhaustive permutation; small orders only."""
-    if g.n > PATTERN_CAP:
-        raise ValueError("exhaustive keying is limited to order 8")
-    n = g.n
-    best = None
-    for perm in permutations(range(n)):
-        bits = 0
-        for col in range(1, n):
-            for row in range(col):
-                bits = bits << 1 | (g.adj[perm[row]] >> perm[col] & 1)
-        if best is None or bits < best:
-            best = bits
-    return IsoKey(n, best or 0)
+    perms = []
+    last: dict[int, int] = {}
+    for v in range(g.n):
+        u = last.get(twins[v])
+        if u is not None:
+            perm = list(range(g.n))
+            perm[u], perm[v] = v, u
+            perms.append(tuple(perm))
+        last[twins[v]] = v
+    perms.extend(_lex_min(g)[1])
+    return perms
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

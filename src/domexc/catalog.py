@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
-from .canon import IsoKey, canonical_key
+from .canon import IsoKey, _find, automorphisms, canonical_key
 from .domination import PARAM_IDS, Param, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6
@@ -50,13 +50,35 @@ def _sorted_catalog(source: str, reps: dict[IsoKey, Graph], warnings=()) -> Cata
     return Catalog(source, tuple(reps[k] for k in keys), tuple(keys), tuple(warnings))
 
 
+def _orbit_minima(g: Graph) -> list[int]:
+    """Neighbourhood masks for a new vertex, in increasing order.
+
+    Keeps the smallest mask of each orbit under the group generated by
+    automorphisms(g).
+    """
+    size = 1 << g.n
+    root = list(range(size))
+    image = [0] * size
+    for perm in automorphisms(g):
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
+            a, b = _find(root, mask), _find(root, image[mask])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [mask for mask in range(size) if root[mask] == mask]
+
+
 def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
     """Every graph of order n up to isomorphism.
 
     Grows order by order: each class on n vertices extends some class on
-    n - 1 (delete any vertex), so attaching a new vertex in all 2^(n-1)
-    ways to every smaller representative and deduplicating by canonical
-    key is exhaustive. Capped at order 7.
+    n - 1 (delete any vertex), so attaching a new vertex to every smaller
+    representative in every way and deduplicating by canonical key is
+    exhaustive. Neighbourhoods that an automorphism of the representative
+    maps onto a smaller one are skipped: they give a graph isomorphic to
+    one built earlier from the same representative, so the first graph
+    seen in each class, the one kept, stays the same. Capped at order 7.
     """
     if not 1 <= n <= ALL_GRAPHS_CAP:
         raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
@@ -64,7 +86,7 @@ def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
     for _ in range(n - 1):
         grown: dict[IsoKey, Graph] = {}
         for g in level.values():
-            for nbrs in range(1 << g.n):
+            for nbrs in _orbit_minima(g):
                 h = g.with_vertex(nbrs)
                 grown.setdefault(canonical_key(h), h)
         level = grown

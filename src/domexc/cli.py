@@ -87,10 +87,21 @@ def _emit(payload: dict, output: str, text_lines) -> None:
             print(line)
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, int(os.environ.get("DOMEXC_JOBS", "1")))
+def _jobs(raw: str | None) -> int:
+    """Worker count from --jobs, else DOMEXC_JOBS, else 1.
+
+    Raises ValueError unless the chosen value is an integer of at least 1.
+    """
+    source = "--jobs"
+    if raw is None:
+        source, raw = "DOMEXC_JOBS", os.environ.get("DOMEXC_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{source} must be an integer of at least 1, got {raw!r}")
+    return jobs
 
 
 def _pmap(fn, items, jobs: int):
@@ -185,7 +196,7 @@ def cmd_analyze(args) -> int:
         return 2
     worker = partial(_analyze_one, param_ids=tuple(p.id for p in params))
     try:
-        meta, results, had_error = _graph_entries(args.input, worker, _jobs(args))
+        meta, results, had_error = _graph_entries(args.input, worker, args.jobs)
     except (OSError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -215,7 +226,7 @@ def cmd_family(args) -> int:
         return 2
     worker = partial(_family_one, pid=args.param)
     try:
-        meta, results, had_error = _graph_entries(args.input, worker, _jobs(args))
+        meta, results, had_error = _graph_entries(args.input, worker, args.jobs)
     except (OSError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -238,7 +249,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, run_long=args.long, jobs=_jobs(args), timings=args.timings)
+    reports = run_suite(args.suite, run_long=args.long, jobs=args.jobs, timings=args.timings)
     results = [r.to_json() for r in reports]
     counts = {"pass": 0, "fail": 0, "skipped-long-running": 0}
     for r in reports:
@@ -390,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", choices=("json", "text"), default="json")
-        p.add_argument("--jobs", type=int, default=None, help="worker count (env DOMEXC_JOBS)")
+        p.add_argument("--jobs", default=None, help="worker count (env DOMEXC_JOBS)")
 
     p = sub.add_parser("analyze", help="parameter values, set counts, excellence flags")
     p.add_argument("input", help="graph6 file, - for stdin, or inline graph6")
@@ -440,6 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "jobs" in vars(args):
+        try:
+            args.jobs = _jobs(args.jobs)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

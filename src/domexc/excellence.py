@@ -126,9 +126,8 @@ def excellent_family(
         for r in range(1, len(verts) + 1):
             for combo in combinations(verts, r):
                 subset_masks.add(mask_of(combo))
-    candidates: dict[IsoKey, None] = {}
-    for mask in sorted(subset_masks):
-        candidates.setdefault(canonical_key(g.induced(mask)))
+    # many subsets induce the same labelled graph; key each one once
+    candidates = {canonical_key(h) for h in {g.induced(mask) for mask in subset_masks}}
 
     members = []
     witnesses = []

@@ -6,7 +6,28 @@ package. Values and optimal-set collections are recomputed from the
 defining predicates directly.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
+
+
+def brute_key(g) -> int:
+    """Lex-min upper-triangle adjacency string over all n! orderings.
+
+    Column major, first bit most significant: the bits canonical_key
+    must return. Order 8 or less.
+    """
+    n = g.n
+    if n > 8:
+        raise ValueError("exhaustive keying is limited to order 8")
+    nbrs = [set(row) for row in adjacency(g)]
+    best = None
+    for perm in permutations(range(n)):
+        bits = 0
+        for col in range(1, n):
+            for row in range(col):
+                bits = bits << 1 | (perm[col] in nbrs[perm[row]])
+        if best is None or bits < best:
+            best = bits
+    return best or 0
 
 
 def adjacency(g) -> list[list[int]]:

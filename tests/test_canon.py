@@ -10,12 +10,15 @@ from domexc.canon import (
     CANON_CAP,
     IsoKey,
     are_isomorphic,
+    automorphisms,
     canonical_key,
     induced_copies,
     iter_induced_copies,
     tree_key,
 )
+from domexc.catalog import generate_all_graphs
 from domexc.graphs import (
+    cartesian_product,
     complete,
     complete_multipartite,
     cycle,
@@ -26,6 +29,7 @@ from domexc.graphs import (
 from domexc.trees import enumerate_trees
 
 from helpers import random_graph, shuffled
+from oracles import brute_key
 
 
 @settings(max_examples=150, deadline=None)
@@ -49,6 +53,43 @@ def test_canonical_key_is_canonical_form():
     rep = key.graph()
     assert are_isomorphic(rep, g)
     assert canonical_key(rep) == key
+
+
+def test_canonical_key_is_lex_min_small_orders():
+    # catalog order, family order and golden graph6 strings rest on the exact bits
+    for n in range(1, 7):
+        for g in generate_all_graphs(n):
+            want = brute_key(g)
+            for seed in (1, 2):
+                assert canonical_key(shuffled(g, seed)).bits == want
+
+
+SYMMETRIC = {
+    "C8": cycle(8),
+    "2C4": disjoint_union([cycle(4), cycle(4)]),
+    "Q3": cartesian_product(complete(2), cartesian_product(complete(2), complete(2))),
+    "K4,4": complete_multipartite([4, 4]),
+    "K2xK4": cartesian_product(complete(2), complete(4)),
+    "co(K2xK4)": cartesian_product(complete(2), complete(4)).complement(),
+    "E4+K4": disjoint_union([edgeless(4), complete(4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_key_is_lex_min_symmetric(name):
+    # large automorphism groups drive the orbit pruning and the unwinding
+    g = SYMMETRIC[name]
+    want = brute_key(g)
+    for seed in (0, 1, 2):
+        assert canonical_key(shuffled(g, seed)).bits == want
+
+
+def test_automorphisms_preserve_adjacency():
+    for g in list(SYMMETRIC.values()) + [shuffled(cycle(9), 4), path(5), edgeless(3)]:
+        for perm in automorphisms(g):
+            assert sorted(perm) == list(range(g.n))
+            for u, v in combinations(range(g.n), 2):
+                assert g.has_edge(u, v) == g.has_edge(perm[u], perm[v])
 
 
 def test_exhaustive_small_orders():

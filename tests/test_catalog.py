@@ -1,5 +1,6 @@
 """Catalog generation, persistence, and predicate search."""
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,38 @@ def test_all_graphs_isomorph_free():
     assert list(cat.keys) == sorted(cat.keys)
     for g, key in zip(cat.graphs, cat.keys):
         assert canonical_key(g) == key
+
+
+# sha256 of the graph6 lines `domexc gen` prints, recorded before the
+# generators skipped any extension; the first graph seen in each class
+# is the one kept, so a skip that changes it changes these bytes
+CATALOG_SHA256 = {
+    ("all", 1, False): "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    ("all", 1, True): "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
+    ("all", 2, False): "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
+    ("all", 2, True): "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
+    ("all", 3, False): "aefbaa12a956ed1f415fa897c455185134275a89a57ce1ef7d38f771c0d9129e",
+    ("all", 3, True): "5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129",
+    ("all", 4, False): "a38c483c05606caf1cf27e2fcb5a225d4001df8768275d678128bff91b970e61",
+    ("all", 4, True): "d7da485669f2dc74b81c02f18774a07430937684896833d59f138b10debb5005",
+    ("all", 5, False): "1f97862b2293152fba85bf967925d4982fc2d8a571b875eb0765a31b4fa7390b",
+    ("all", 5, True): "1a457b7398c4f1c73a4daf40c8683434545cf039548e8884c3063e29c4a78f66",
+    ("all", 6, False): "8c715fe2a456abbe89d3b8ab0733786f460102b7c88bd6f46c24f3d1924def32",
+    ("all", 6, True): "84ba795f972834084a7cb71c398177aa791d2c4ba5671785f74fb0fc0141c5ad",
+    ("regular", 8, 3): "456603852cf561dfbbeb80134e488e813a29e851e8e2f474bc58f7cfdd888e0d",
+    ("regular", 9, 4): "bb7b37297cc5a36b97e237da3ccad94a789ee50464161beb47f14be305afa2fc",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CATALOG_SHA256))
+def test_catalog_bytes_pinned(spec):
+    kind, n, arg = spec
+    if kind == "all":
+        cat = generate_all_graphs(n, connected_only=arg)
+    else:
+        cat = generate_regular(n, arg)
+    text = "".join(to_graph6(g) + "\n" for g in cat.graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[spec]
 
 
 def test_regular_counts():

@@ -90,6 +90,18 @@ def test_jobs_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and len(payload["results"]) == 2
 
 
+@pytest.mark.parametrize("env, flag", [("abc", None), ("0", None), (None, "0"), (None, "-3"), (None, "x")])
+def test_bad_jobs_exit_2(capsys, monkeypatch, env, flag):
+    # a bad worker count is an input error, not a failed claim or a traceback
+    if env is not None:
+        monkeypatch.setenv("DOMEXC_JOBS", env)
+    argv = ["verify", "--suite", "quick"] + (["--jobs", flag] if flag is not None else [])
+    code, out, err = run(capsys, *argv)
+    source = "DOMEXC_JOBS" if env is not None else "--jobs"
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and source in err
+
+
 def test_analyze_bad_param(capsys):
     code, _, err = run(capsys, "analyze", "C~", "--param", "gamma,delta")
     assert code == 2 and "delta" in err
