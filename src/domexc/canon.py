@@ -20,9 +20,8 @@ supported order get an AHU-style key via tree_key instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits
 
 CANON_CAP = 12
 PATTERN_CAP = 8
@@ -224,39 +223,41 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 def induced_copies(g: Graph, pattern: Graph) -> list[int]:
     """Vertex masks of all induced subgraphs of g isomorphic to pattern.
 
-    Masks come back sorted ascending. Pattern order is capped at 8; the
+    Masks come in ascending order. Pattern order is capped at 8; the
     host graph may use the full capacity.
     """
-    return sorted(iter_induced_copies(g, pattern))
+    return list(iter_induced_copies(g, pattern))
 
 
 def iter_induced_copies(g: Graph, pattern: Graph):
-    """Yield induced-copy masks lazily, in vertex-combination order."""
+    """Yield induced-copy masks lazily, in ascending order."""
     p = pattern.n
     if p > PATTERN_CAP:
         raise ValueError(f"pattern order {p} exceeds the cap {PATTERN_CAP}")
     if p == 0:
         yield 0
         return
-    if p > g.n:
-        return
     pattern_edges = pattern.edge_count()
-    if pattern_edges == 0 or pattern_edges == p * (p - 1) // 2:
-        want = p - 1 if pattern_edges else 0
-        for combo in combinations(range(g.n), p):
-            mask = mask_of(combo)
-            if all((g.adj[v] & mask).bit_count() == want for v in combo):
-                yield mask
-        return
+    # an edgeless or complete pattern is fixed by its degree sequence
+    uniform = pattern_edges == 0 or pattern_edges == p * (p - 1) // 2
     pat_seq = pattern.degree_sequence()
-    pat_key = canonical_key(pattern)
-    for combo in combinations(range(g.n), p):
-        mask = mask_of(combo)
-        seq = sorted(((g.adj[v] & mask).bit_count() for v in combo), reverse=True)
-        if tuple(seq) != pat_seq:
-            continue
-        if canonical_key(g.induced(mask)) == pat_key:
+    pat_key = None if uniform else canonical_key(pattern)
+    mask, limit = (1 << p) - 1, 1 << g.n
+    while mask < limit:
+        seq = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            seq.append((g.adj[low.bit_length() - 1] & mask).bit_count())
+            rest ^= low
+        seq.sort(reverse=True)
+        if tuple(seq) == pat_seq and (uniform or canonical_key(g.induced(mask)) == pat_key):
             yield mask
+        # Gosper's step to the next larger mask with p bits: carry the
+        # lowest run of ones one place up, move the rest of it to the bottom
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 @dataclass(frozen=True, order=True)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
-from .canon import IsoKey, _find, automorphisms, canonical_key
+from .canon import CANON_CAP, IsoKey, _find, automorphisms, canonical_key
 from .domination import PARAM_IDS, Param, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6
@@ -201,7 +200,7 @@ def load_catalog(path) -> Catalog:
     for lineno, item in parse_lines(p.read_text()):
         if isinstance(item, Exception):
             raise type(item)(f"line {lineno}: {item}")
-        key = canonical_key(item) if item.n <= 12 else None
+        key = canonical_key(item) if item.n <= CANON_CAP else None
         if key is None:
             key = IsoKey(item.n, _big_bits(item))
         if key in reps:

@@ -6,13 +6,16 @@ Claims carry suite tags: quick claims finish in well under a second
 each, the paper suite is the full registry, and long claims are skipped
 unless explicitly enabled. Reports are plain data with deterministic
 ordering, so identical runs serialize identically.
+
+The eight family claims are rows of FAMILY_TABLE (label, graph builder,
+parameter id, expected member names) read by one evaluator.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil
 from typing import Callable
 
@@ -135,151 +138,117 @@ def _check_path_excellence():
     return [], bad, bad == []
 
 
-PATH_FAMILIES = {
-    "P1": ["K1"],
-    "P2": ["K1"],
-    "P4": ["K1", "E2"],
-    "P7": ["K1"],
-    "P10": ["K1"],
+def _complete_product(m: int, n: int) -> Graph:
+    return cartesian_product(complete(m), complete(n))
+
+
+def _co_product(m: int, n: int) -> Graph:
+    return _complete_product(m, n).complement()
+
+
+def _cycle_union(a: int, b: int) -> Graph:
+    return disjoint_union([cycle(a), cycle(b)])
+
+
+SIX_MEMBER = ["K1", "E2", "K2", "E3", "K1+K2", "K3"]
+
+# claim id -> one row per case: (label, graph builder, parameter id, expected member names)
+FAMILY_TABLE = {
+    "path-families": [
+        ("P1:gamma", partial(path, 1), "gamma", ["K1"]),
+        ("P1:i", partial(path, 1), "i", ["K1"]),
+        ("P2:gamma", partial(path, 2), "gamma", ["K1"]),
+        ("P2:i", partial(path, 2), "i", ["K1"]),
+        ("P4:gamma", partial(path, 4), "gamma", ["K1", "E2"]),
+        ("P4:i", partial(path, 4), "i", ["K1", "E2"]),
+        ("P7:gamma", partial(path, 7), "gamma", ["K1"]),
+        ("P7:i", partial(path, 7), "i", ["K1"]),
+        ("P10:gamma", partial(path, 10), "gamma", ["K1"]),
+        ("P10:i", partial(path, 10), "i", ["K1"]),
+    ],
+    "cycle-families-domination": [
+        ("C4", partial(cycle, 4), "gamma", ["K1", "E2", "K2"]),
+        ("C5", partial(cycle, 5), "gamma", ["K1", "E2"]),
+        ("C6", partial(cycle, 6), "gamma", ["K1"]),
+        ("C7", partial(cycle, 7), "gamma", ["K1", "E2", "K2", "E3"]),
+        ("C9", partial(cycle, 9), "gamma", ["K1"]),
+        ("C10", partial(cycle, 10), "gamma", ["K1", "E2", "K2"]),
+        ("C12", partial(cycle, 12), "gamma", ["K1"]),
+        ("C13", partial(cycle, 13), "gamma", ["K1", "E2", "K2"]),
+    ],
+    "cycle-families-independent": [
+        ("C4", partial(cycle, 4), "i", ["K1", "E2"]),
+        ("C5", partial(cycle, 5), "i", ["K1", "E2"]),
+        ("C6", partial(cycle, 6), "i", ["K1"]),
+        ("C7", partial(cycle, 7), "i", ["K1", "E2", "E3"]),
+        ("C9", partial(cycle, 9), "i", ["K1"]),
+        ("C10", partial(cycle, 10), "i", ["K1", "E2"]),
+        ("C12", partial(cycle, 12), "i", ["K1"]),
+        ("C13", partial(cycle, 13), "i", ["K1", "E2"]),
+    ],
+    "cycle-union-families": [
+        ("C5+C5", partial(_cycle_union, 5, 5), "gamma", ["K1", "E2", "E3", "E4"]),
+        ("C6+C9", partial(_cycle_union, 6, 9), "gamma", ["K1"]),
+        ("C7+C7", partial(_cycle_union, 7, 7), "gamma", ["K1", "E2", "K2", "E3", "E4", "E5", "E6"]),
+        ("C10+C10", partial(_cycle_union, 10, 10), "gamma", ["K1", "E2", "K2"]),
+    ],
+    "complete-product-families": [
+        ("K2xK2:gamma", partial(_complete_product, 2, 2), "gamma", ["K1", "E2", "K2"]),
+        ("K2xK2:i", partial(_complete_product, 2, 2), "i", ["K1", "E2"]),
+        ("K2xK2:beta0", partial(_complete_product, 2, 2), "beta0", ["K1", "E2"]),
+        ("K2xK3:gamma", partial(_complete_product, 2, 3), "gamma", ["K1", "E2"]),
+        ("K2xK3:i", partial(_complete_product, 2, 3), "i", ["K1", "E2"]),
+        ("K2xK3:beta0", partial(_complete_product, 2, 3), "beta0", ["K1", "E2"]),
+        ("K2xK4:gamma", partial(_complete_product, 2, 4), "gamma", ["K1", "E2"]),
+        ("K2xK4:i", partial(_complete_product, 2, 4), "i", ["K1", "E2"]),
+        ("K2xK4:beta0", partial(_complete_product, 2, 4), "beta0", ["K1", "E2"]),
+        ("K3xK3:gamma", partial(_complete_product, 3, 3), "gamma", SIX_MEMBER),
+        ("K3xK3:i", partial(_complete_product, 3, 3), "i", ["K1", "E2", "E3"]),
+        ("K3xK3:beta0", partial(_complete_product, 3, 3), "beta0", ["K1", "E2", "E3"]),
+        ("K3xK4:gamma", partial(_complete_product, 3, 4), "gamma", ["K1", "E2", "E3"]),
+        ("K3xK4:i", partial(_complete_product, 3, 4), "i", ["K1", "E2", "E3"]),
+        ("K3xK4:beta0", partial(_complete_product, 3, 4), "beta0", ["K1", "E2", "E3"]),
+        ("K3xK5:gamma", partial(_complete_product, 3, 5), "gamma", ["K1", "E2", "E3"]),
+        ("K3xK5:i", partial(_complete_product, 3, 5), "i", ["K1", "E2", "E3"]),
+        ("K3xK5:beta0", partial(_complete_product, 3, 5), "beta0", ["K1", "E2", "E3"]),
+        (
+            "K4xK4:gamma",
+            partial(_complete_product, 4, 4),
+            "gamma",
+            ["K1", "E2", "K2", "E3", "K1+K2", "K3", "E4", "E2+K2", "K1+K3", "K4"],
+        ),
+        ("K4xK4:i", partial(_complete_product, 4, 4), "i", ["K1", "E2", "E3", "E4"]),
+        ("K4xK4:beta0", partial(_complete_product, 4, 4), "beta0", ["K1", "E2", "E3", "E4"]),
+    ],
+    "complement-product-families-base": [
+        ("co(K3xK3)", partial(_co_product, 3, 3), "gamma", SIX_MEMBER),
+        ("co(K4xK4)", partial(_co_product, 4, 4), "gamma", ["K1", "E2", "K2", "K1+K2", "K3"]),
+    ],
+    "complement-product-families-extended": [
+        ("co(K3xK4)", partial(_co_product, 3, 4), "gamma", SIX_MEMBER),
+        ("co(K3xK5)", partial(_co_product, 3, 5), "gamma", SIX_MEMBER),
+    ],
+    "multipartite-families": [
+        ("K_2,2", partial(complete_multipartite, [2, 2]), "gamma", ["K1", "E2", "K2"]),
+        ("K_2,2,2", partial(complete_multipartite, [2, 2, 2]), "gamma", ["K1", "E2", "K2"]),
+        ("K_2,2,3", partial(complete_multipartite, [2, 2, 3]), "gamma", ["K1", "K2"]),
+        ("K_2,3", partial(complete_multipartite, [2, 3]), "gamma", ["K1", "K2"]),
+        ("K_3,3", partial(complete_multipartite, [3, 3]), "gamma", ["K1", "K2"]),
+    ],
 }
 
 
-def _check_path_families():
-    computed = {}
+def _check_family_table(claim_id: str):
     expected = {}
-    for name, members in sorted(PATH_FAMILIES.items()):
-        n = int(name[1:])
-        for par in (Param.GAMMA, Param.IND_DOM):
-            expected[f"{name}:{par.id}"] = members
-            computed[f"{name}:{par.id}"] = _names(path(n), par)
-    return expected, computed, expected == computed
-
-
-CYCLE_FAMILIES_DOM = {
-    4: ["K1", "E2", "K2"],
-    5: ["K1", "E2"],
-    6: ["K1"],
-    7: ["K1", "E2", "K2", "E3"],
-    9: ["K1"],
-    10: ["K1", "E2", "K2"],
-    12: ["K1"],
-    13: ["K1", "E2", "K2"],
-}
-
-CYCLE_FAMILIES_IND = {
-    4: ["K1", "E2"],
-    5: ["K1", "E2"],
-    6: ["K1"],
-    7: ["K1", "E2", "E3"],
-    9: ["K1"],
-    10: ["K1", "E2"],
-    12: ["K1"],
-    13: ["K1", "E2"],
-}
-
-
-def _check_cycle_families_domination():
-    expected = {f"C{n}": v for n, v in sorted(CYCLE_FAMILIES_DOM.items())}
-    computed = {f"C{n}": _names(cycle(n), Param.GAMMA) for n in sorted(CYCLE_FAMILIES_DOM)}
-    return expected, computed, expected == computed
-
-
-def _check_cycle_families_independent():
-    expected = {f"C{n}": v for n, v in sorted(CYCLE_FAMILIES_IND.items())}
-    computed = {f"C{n}": _names(cycle(n), Param.IND_DOM) for n in sorted(CYCLE_FAMILIES_IND)}
-    return expected, computed, expected == computed
-
-
-UNION_FAMILIES = {
-    (5, 5): ["K1", "E2", "E3", "E4"],
-    (6, 9): ["K1"],
-    (7, 7): ["K1", "E2", "K2", "E3", "E4", "E5", "E6"],
-    (10, 10): ["K1", "E2", "K2"],
-}
-
-
-def _check_cycle_union_families():
-    expected = {}
     computed = {}
-    for (a, b), members in sorted(UNION_FAMILIES.items()):
-        key = f"C{a}+C{b}"
-        expected[key] = members
-        computed[key] = _names(disjoint_union([cycle(a), cycle(b)]), Param.GAMMA)
+    for label, build, pid, names in FAMILY_TABLE[claim_id]:
+        expected[label] = names
+        computed[label] = _names(build(), Param.from_id(pid))
     return expected, computed, expected == computed
 
 
 def _edgeless_names(m: int) -> list[str]:
     return ["K1"] + [f"E{r}" for r in range(2, m + 1)]
-
-
-COMPLETE_PRODUCT_DOM = {
-    (2, 2): ["K1", "E2", "K2"],
-    (2, 3): ["K1", "E2"],
-    (2, 4): ["K1", "E2"],
-    (3, 3): ["K1", "E2", "K2", "E3", "K1+K2", "K3"],
-    (3, 4): ["K1", "E2", "E3"],
-    (3, 5): ["K1", "E2", "E3"],
-    (4, 4): ["K1", "E2", "K2", "E3", "K1+K2", "K3", "E4", "E2+K2", "K1+K3", "K4"],
-}
-
-
-def _check_complete_product_families():
-    expected = {}
-    computed = {}
-    for (m, n), members in sorted(COMPLETE_PRODUCT_DOM.items()):
-        g = cartesian_product(complete(m), complete(n))
-        key = f"K{m}xK{n}"
-        expected[f"{key}:gamma"] = members
-        computed[f"{key}:gamma"] = _names(g, Param.GAMMA)
-        for par in (Param.IND_DOM, Param.INDEPENDENCE):
-            expected[f"{key}:{par.id}"] = _edgeless_names(m)
-            computed[f"{key}:{par.id}"] = _names(g, par)
-    return expected, computed, expected == computed
-
-
-SIX_MEMBER = ["K1", "E2", "K2", "E3", "K1+K2", "K3"]
-FIVE_MEMBER = ["K1", "E2", "K2", "K1+K2", "K3"]
-
-
-def _co_product(m: int, n: int) -> Graph:
-    return cartesian_product(complete(m), complete(n)).complement()
-
-
-def _check_complement_product_base():
-    expected = {"co(K3xK3)": SIX_MEMBER, "co(K4xK4)": FIVE_MEMBER}
-    computed = {
-        "co(K3xK3)": _names(_co_product(3, 3), Param.GAMMA),
-        "co(K4xK4)": _names(_co_product(4, 4), Param.GAMMA),
-    }
-    return expected, computed, expected == computed
-
-
-def _check_complement_product_extended():
-    expected = {"co(K3xK4)": SIX_MEMBER, "co(K3xK5)": SIX_MEMBER}
-    computed = {
-        "co(K3xK4)": _names(_co_product(3, 4), Param.GAMMA),
-        "co(K3xK5)": _names(_co_product(3, 5), Param.GAMMA),
-    }
-    return expected, computed, expected == computed
-
-
-MULTIPARTITE_FAMILIES = {
-    (2, 2): ["K1", "E2", "K2"],
-    (2, 2, 2): ["K1", "E2", "K2"],
-    (2, 3): ["K1", "K2"],
-    (3, 3): ["K1", "K2"],
-    (2, 2, 3): ["K1", "K2"],
-}
-
-
-def _check_multipartite_families():
-    expected = {}
-    computed = {}
-    for sizes, members in sorted(MULTIPARTITE_FAMILIES.items()):
-        key = "K_" + ",".join(map(str, sizes))
-        expected[key] = members
-        computed[key] = _names(complete_multipartite(list(sizes)), Param.GAMMA)
-    return expected, computed, expected == computed
 
 
 def _check_edge_critical_pairs():
@@ -591,14 +560,14 @@ CLAIMS = [
     Claim("path-cycle-values", "path and cycle domination values", True, False, _check_path_cycle_values),
     Claim("cycle-excellence", "cycles are excellent at every order", True, False, _check_cycle_excellence),
     Claim("path-excellence", "paths are excellent exactly at 2 and 1 mod 3", True, False, _check_path_excellence),
-    Claim("path-families", "path excellent families", True, False, _check_path_families),
-    Claim("cycle-families-domination", "cycle families under domination", True, False, _check_cycle_families_domination),
-    Claim("cycle-families-independent", "cycle families under independent domination", True, False, _check_cycle_families_independent),
-    Claim("cycle-union-families", "families of unions of two cycles", True, False, _check_cycle_union_families),
-    Claim("complete-product-families", "complete-by-complete product families", True, False, _check_complete_product_families),
-    Claim("complement-product-families-base", "complement product families, base cases", True, False, _check_complement_product_base),
-    Claim("complement-product-families-extended", "complement product families, wider cases", False, False, _check_complement_product_extended),
-    Claim("multipartite-families", "complete multipartite families at domination two", True, False, _check_multipartite_families),
+    Claim("path-families", "path excellent families", True, False, partial(_check_family_table, "path-families")),
+    Claim("cycle-families-domination", "cycle families under domination", True, False, partial(_check_family_table, "cycle-families-domination")),
+    Claim("cycle-families-independent", "cycle families under independent domination", True, False, partial(_check_family_table, "cycle-families-independent")),
+    Claim("cycle-union-families", "families of unions of two cycles", True, False, partial(_check_family_table, "cycle-union-families")),
+    Claim("complete-product-families", "complete-by-complete product families", True, False, partial(_check_family_table, "complete-product-families")),
+    Claim("complement-product-families-base", "complement product families, base cases", True, False, partial(_check_family_table, "complement-product-families-base")),
+    Claim("complement-product-families-extended", "complement product families, wider cases", False, False, partial(_check_family_table, "complement-product-families-extended")),
+    Claim("multipartite-families", "complete multipartite families at domination two", True, False, partial(_check_family_table, "multipartite-families")),
     Claim("edge-critical-pairs", "edge-addition-critical graphs hold nonadjacent pairs", False, False, _check_edge_critical_pairs),
     Claim("independence-equals-domination", "independence equals domination forces edgeless families", False, False, _check_independence_equals_domination),
     Claim("no-path3-at-three", "no three-vertex-path excellence at domination three", False, False, _check_no_path3_at_three),
@@ -645,16 +614,20 @@ def run_claim(claim_id: str, run_long: bool = False, timings: bool = False) -> C
     )
 
 
+def _pmap(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], in a pool of jobs processes if jobs > 1 and items > 1."""
+    if jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_suite(
     suite: str = "paper", run_long: bool = False, jobs: int = 1, timings: bool = False
 ) -> list[ClaimReport]:
     ids = claim_ids(suite)
     if suite == "long":
         run_long = True
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(partial(run_claim, run_long=run_long, timings=timings), ids))
-    return [run_claim(i, run_long=run_long, timings=timings) for i in ids]
+    return _pmap(partial(run_claim, run_long=run_long, timings=timings), ids, jobs)

@@ -7,7 +7,8 @@ search (filtered catalog scans), convert (graph6 normalization).
 Input is a file path, - for stdin, or an inline graph6 string. Reports
 are JSON by default and deterministic: runtimes stay null unless
 --timings is given, so repeated runs serialize identically. Exit codes:
-0 success, 1 failed verification claims, 2 input errors.
+0 success, 1 failed verification claims, 2 input errors or an
+unsupported request, which analyze and family report per graph.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import __version__
@@ -28,7 +28,7 @@ from .catalog import (
     load_catalog,
     search,
 )
-from .claims import run_suite
+from .claims import _pmap, run_suite
 from .domination import PARAM_IDS, Param, ParameterUndefinedError, min_sets
 from .excellence import excellent_family, family_names, is_excellent
 from .graph6 import Graph6Error, from_graph6, parse_lines, to_graph6
@@ -104,13 +104,6 @@ def _jobs(raw: str | None) -> int:
     return jobs
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _param_list(spec: str) -> list[Param]:
     if spec == "all":
         return [Param.from_id(pid) for pid in PARAM_IDS]
@@ -171,21 +164,38 @@ def _family_one(item: tuple[int, str], pid: str) -> dict:
     return entry
 
 
-def _graph_entries(source: str, worker, jobs: int) -> tuple[dict, list, bool]:
-    kind, parsed = _parse_input(source)
-    slots: list = [None] * len(parsed)
+def _guarded(worker, item: tuple[int, int, str]) -> dict:
+    """Run a per-graph worker; an unsupported request becomes the graph's error entry."""
+    index, lineno, line = item
+    try:
+        return worker((index, line))
+    except ValueError as exc:
+        return {"index": index, "line": lineno, "error": str(exc)}
+
+
+def _graph_report(args, worker, lines) -> int:
+    """Run worker on every input graph, print the report, return the exit code.
+
+    Unparsable lines and unsupported requests become per-graph error
+    entries, and exit 2; the other graphs are still reported.
+    """
+    try:
+        kind, parsed = _parse_input(args.input)
+    except (OSError, Graph6Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    results: list = [None] * len(parsed)
     pending = []
-    had_error = False
     for pos, (lineno, item) in enumerate(parsed):
         if isinstance(item, Graph):
-            pending.append((pos, (pos, to_graph6(item))))
+            pending.append((pos, lineno, to_graph6(item)))
         else:
-            had_error = True
-            slots[pos] = {"index": pos, "line": lineno, "error": str(item)}
-    results = _pmap(worker, [payload for _, payload in pending], jobs)
-    for (pos, _), result in zip(pending, results):
-        slots[pos] = result
-    return {"source": kind, "graphs": len(parsed)}, slots, had_error
+            results[pos] = {"index": pos, "line": lineno, "error": str(item)}
+    for entry in _pmap(partial(_guarded, worker), pending, args.jobs):
+        results[entry["index"]] = entry
+    meta = {"source": kind, "graphs": len(parsed)}
+    _emit({"tool_version": __version__, "input": meta, "results": results}, args.output, lines)
+    return 2 if any("error" in r for r in results) else 0
 
 
 def cmd_analyze(args) -> int:
@@ -195,12 +205,6 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     worker = partial(_analyze_one, param_ids=tuple(p.id for p in params))
-    try:
-        meta, results, had_error = _graph_entries(args.input, worker, args.jobs)
-    except (OSError, Graph6Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = {"tool_version": __version__, "input": meta, "results": results}
 
     def lines(p):
         for r in p["results"]:
@@ -216,8 +220,7 @@ def cmd_analyze(args) -> int:
                 parts.append(f"{pid}={info['value']} ({info['optimal_sets']} sets, {flag})")
             yield f"{r['index']}: {r['graph6']} n={r['order']} m={r['size']} " + "; ".join(parts)
 
-    _emit(payload, args.output, lines)
-    return 2 if had_error else 0
+    return _graph_report(args, worker, lines)
 
 
 def cmd_family(args) -> int:
@@ -225,12 +228,6 @@ def cmd_family(args) -> int:
         print(f"error: unknown parameter id {args.param!r}", file=sys.stderr)
         return 2
     worker = partial(_family_one, pid=args.param)
-    try:
-        meta, results, had_error = _graph_entries(args.input, worker, args.jobs)
-    except (OSError, Graph6Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = {"tool_version": __version__, "input": meta, "results": results}
 
     def lines(p):
         for r in p["results"]:
@@ -244,8 +241,7 @@ def cmd_family(args) -> int:
                 names = ", ".join(m["name"] for m in r["members"])
                 yield f"{r['index']}: {r['graph6']} {r['param']}={r['value']} members: {names}"
 
-    _emit(payload, args.output, lines)
-    return 2 if had_error else 0
+    return _graph_report(args, worker, lines)
 
 
 def cmd_verify(args) -> int:

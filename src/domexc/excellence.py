@@ -13,11 +13,10 @@ from induced subgraphs of optimal sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .canon import IsoKey, canonical_key, induced_copies, iter_induced_copies
+from .canon import IsoKey, canonical_key, iter_induced_copies
 from .domination import Param, ParamResult, min_sets
-from .graphs import Graph, mask_of, set_of
+from .graphs import Graph, iter_bits
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,8 @@ class FamilyResult:
 
     members holds the canonical keys sorted by (order, edge count, key
     bits). witness[i][x] is a (copy mask, optimal-set mask) pair showing
-    condition (i) for member i at vertex x.
+    condition (i) for member i at vertex x: the smallest copy holding x,
+    and the first set in ParamResult.sets holding that copy.
     """
 
     param: Param
@@ -52,44 +52,26 @@ def is_excellent(g: Graph, param: Param, *, result: ParamResult | None = None) -
     return sets_union(res.sets) == g.full_mask
 
 
-def _passes_both(g: Graph, pattern: Graph, sets) -> bool:
-    """Early-exit test of the two excellence conditions for one pattern.
+def _copy_witnesses(g: Graph, pattern: Graph, sets) -> tuple[tuple[int, int], ...] | None:
+    """Check both excellence conditions for one pattern in one copy pass.
 
-    Stops at the first induced copy outside every optimal set; otherwise
-    accumulates copy coverage and demands it reach every vertex.
+    Returns None at the first induced copy outside every optimal set, or
+    when some vertex lies in no copy. Otherwise returns, for each vertex
+    x, the pair (smallest copy mask containing x, first set of sets
+    containing that copy).
     """
+    witness: list = [None] * g.n
     covered = 0
     for copy in iter_induced_copies(g, pattern):
-        if all(copy & ~d for d in sets):
-            return False
-        covered |= copy
-    return covered == g.full_mask
-
-
-def _copy_report(g: Graph, pattern: Graph, sets):
-    """Check both excellence conditions for one pattern.
-
-    Returns (cond_i, cond_ii, witness) where witness maps each vertex to
-    a certifying (copy mask, optimal-set mask) pair, or None for vertices
-    lacking one.
-    """
-    copies = induced_copies(g, pattern)
-    inside: list[tuple[int, int]] = []
-    cond_ii = True
-    for copy in copies:
         home = next((d for d in sets if copy & ~d == 0), None)
         if home is None:
-            cond_ii = False
-        else:
-            inside.append((copy, home))
-    witness: list[tuple[int, int] | None] = []
-    cond_i = True
-    for x in range(g.n):
-        cert = next(((c, d) for c, d in inside if c >> x & 1), None)
-        witness.append(cert)
-        if cert is None:
-            cond_i = False
-    return cond_i, cond_ii, witness
+            return None
+        for x in iter_bits(copy & ~covered):
+            witness[x] = (copy, home)
+        covered |= copy
+    if covered != g.full_mask:
+        return None
+    return tuple(witness)
 
 
 def is_pattern_excellent(
@@ -104,7 +86,7 @@ def is_pattern_excellent(
     if pattern.n < 1:
         raise ValueError("pattern must have at least one vertex")
     res = result if result is not None else min_sets(g, param)
-    return _passes_both(g, pattern, res.sets)
+    return _copy_witnesses(g, pattern, res.sets) is not None
 
 
 def excellent_family(
@@ -122,22 +104,20 @@ def excellent_family(
 
     subset_masks: set[int] = set()
     for d in res.sets:
-        verts = set_of(d)
-        for r in range(1, len(verts) + 1):
-            for combo in combinations(verts, r):
-                subset_masks.add(mask_of(combo))
+        sub = d
+        while sub:
+            subset_masks.add(sub)
+            sub = (sub - 1) & d
     # many subsets induce the same labelled graph; key each one once
     candidates = {canonical_key(h) for h in {g.induced(mask) for mask in subset_masks}}
 
     members = []
     witnesses = []
     for key in sorted(candidates, key=lambda k: (k.n, k.bits.bit_count(), k.bits)):
-        pattern = key.graph()
-        if not _passes_both(g, pattern, res.sets):
-            continue
-        _, _, witness = _copy_report(g, pattern, res.sets)
-        members.append(key)
-        witnesses.append(tuple(witness))
+        witness = _copy_witnesses(g, key.graph(), res.sets)
+        if witness is not None:
+            members.append(key)
+            witnesses.append(witness)
     return FamilyResult(param, True, res.value, tuple(members), tuple(witnesses))
 
 

@@ -34,6 +34,27 @@ def adjacency(g) -> list[list[int]]:
     return [[u for u in range(g.n) if g.adj[v] >> u & 1] for v in range(g.n)]
 
 
+def brute_copies(g, pattern) -> list[int]:
+    """Sorted masks of the vertex subsets of g that induce a copy of pattern.
+
+    Tries every bijection from pattern onto every subset of its order.
+    """
+    nbrs = [set(row) for row in adjacency(g)]
+    pat = [set(row) for row in adjacency(pattern)]
+    p = pattern.n
+    found = []
+    for combo in combinations(range(g.n), p):
+        for perm in permutations(combo):
+            if all(
+                (perm[v] in nbrs[perm[u]]) == (v in pat[u])
+                for u in range(p)
+                for v in range(u + 1, p)
+            ):
+                found.append(sum(1 << v for v in combo))
+                break
+    return sorted(found)
+
+
 def _connected(nbrs: list[list[int]], verts: set[int]) -> bool:
     if not verts:
         return True

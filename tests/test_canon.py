@@ -1,6 +1,6 @@
 """Canonical keys, isomorphism, induced copies, tree keys."""
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +29,7 @@ from domexc.graphs import (
 from domexc.trees import enumerate_trees
 
 from helpers import random_graph, shuffled
-from oracles import brute_key
+from oracles import brute_copies, brute_key
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,21 +122,6 @@ def test_iso_key_graph6():
     assert isinstance(key, IsoKey)
 
 
-def brute_copies(g, pattern):
-    found = set()
-    for combo in combinations(range(g.n), pattern.n):
-        sub = g.induced(sum(1 << v for v in combo))
-        for perm in permutations(range(pattern.n)):
-            if all(
-                sub.has_edge(perm[u], perm[v]) == pattern.has_edge(u, v)
-                for u in range(pattern.n)
-                for v in range(u + 1, pattern.n)
-            ):
-                found.add(sum(1 << v for v in combo))
-                break
-    return sorted(found)
-
-
 def test_induced_copies_match_brute_force():
     cases = [
         (cycle(6), path(3)),
@@ -163,7 +148,7 @@ def test_induced_copies_counts():
 def test_induced_copies_sorted_lazy_agreement():
     g = random_graph(7, 0b110010111010001100110)
     got = list(iter_induced_copies(g, path(3)))
-    assert sorted(got) == induced_copies(g, path(3))
+    assert got == sorted(got) == induced_copies(g, path(3))
 
 
 def test_pattern_cap():

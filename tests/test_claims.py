@@ -1,5 +1,8 @@
 """Claim registry behavior: suites, report shape, mutation sensitivity."""
 
+import hashlib
+import json
+
 import pytest
 
 from domexc import claims
@@ -57,6 +60,27 @@ def test_quick_suite_all_pass():
     reports = run_suite("quick")
     assert [r.claim_id for r in reports] == list(claim_ids("quick"))
     assert all(r.status == "pass" for r in reports)
+
+
+FAMILY_CLAIMS = [
+    "path-families",
+    "cycle-families-domination",
+    "cycle-families-independent",
+    "cycle-union-families",
+    "complete-product-families",
+    "complement-product-families-base",
+    "complement-product-families-extended",
+    "multipartite-families",
+]
+
+
+def test_family_claim_reports_pinned():
+    # labels and every row, including the i and beta0 rows no acceptance
+    # test reads; the digest was recorded before the family table existed
+    assert [c for c in claim_ids() if c in FAMILY_CLAIMS] == FAMILY_CLAIMS
+    blob = json.dumps([run_claim(cid).to_json() for cid in FAMILY_CLAIMS], sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "83c9cea1c034deb48469144f3e263539213c62e74a60b3161385e32584d89275"
 
 
 def test_suite_parallel_matches_serial():

@@ -66,6 +66,33 @@ def test_analyze_file_with_bad_line(tmp_path, capsys):
     assert rs[0]["graph6"] == "C~" and rs[2]["graph6"] == "Bw"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_family_unsupported_graph_is_an_error_entry(tmp_path, capsys, jobs):
+    # E9 has gamma 9, so its family holds a member above the pattern cap
+    f = tmp_path / "capped.g6"
+    f.write_text("H??????\n" + to_graph6(cycle(5)) + "\n")
+    code, payload, err = run_json(capsys, "family", str(f), "--jobs", jobs)
+    assert code == 2 and err == ""
+    capped, c5 = payload["results"]
+    assert capped == {"index": 0, "line": 1, "error": "pattern order 9 exceeds the cap 8"}
+    assert [m["name"] for m in c5["members"]] == ["K1", "E2"]
+    code, out, _ = run(capsys, "family", str(f), "--jobs", jobs, "--output", "text")
+    assert code == 2
+    assert out.splitlines() == [
+        "0: line 1: error: pattern order 9 exceeds the cap 8",
+        f"1: {to_graph6(cycle(5))} gamma=2 members: K1, E2",
+    ]
+
+
+def test_analyze_empty_graph_is_an_error_entry(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\nC~\n"))
+    code, payload, _ = run_json(capsys, "analyze", "-")
+    assert code == 2
+    empty, k4 = payload["results"]
+    assert empty["index"] == 0 and empty["line"] == 1 and "order at least 1" in empty["error"]
+    assert k4["params"]["gamma"]["value"] == 1
+
+
 def test_analyze_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("C~\nCl\n"))
     code, payload, _ = run_json(capsys, "analyze", "-")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import pytest
 
 from domexc.canon import canonical_key, induced_copies
+from domexc.catalog import generate_all_graphs
 from domexc.domination import Param, min_sets
 from domexc.excellence import (
     describe_pattern,
@@ -24,7 +25,7 @@ from domexc.graphs import (
     path,
 )
 from helpers import random_graph
-from oracles import brute, brute_excellent
+from oracles import brute, brute_copies, brute_excellent
 
 
 def test_is_excellent_basics():
@@ -145,6 +146,22 @@ def test_witness_certificates():
             assert copy & ~home == 0
             assert home in res.sets
             assert canonical_key(g.induced(copy)) == key
+
+
+def test_witness_is_smallest_copy_in_first_home():
+    # witness[j][x]: the smallest copy of member j holding x, and the first
+    # optimal set, in result order, holding that copy
+    for n in range(1, 7):
+        for g in generate_all_graphs(n):
+            for par in (Param.GAMMA, Param.IND_DOM):
+                res = min_sets(g, par)
+                fam = excellent_family(g, par, result=res)
+                for key, per_vertex in zip(fam.members, fam.witness):
+                    copies = brute_copies(g, key.graph())
+                    for x, cert in enumerate(per_vertex):
+                        copy = min(c for c in copies if c >> x & 1)
+                        home = next(d for d in res.sets if copy & ~d == 0)
+                        assert cert == (copy, home)
 
 
 def test_sets_union():
