@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canon import CANON_CAP, IsoKey, _find, automorphisms, canonical_key
-from .domination import PARAM_IDS, Param, min_sets
+from .domination import PARAM_IDS, Param, ParameterUndefinedError, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6
 from .graphs import Graph, edgeless
@@ -260,36 +260,42 @@ class SearchMatch:
 
 
 def search(cat: Catalog, query: CatalogQuery) -> list[SearchMatch]:
-    """Catalog entries satisfying every clause of the query."""
+    """Catalog entries satisfying every clause of the query.
+
+    A graph on which a queried parameter is undefined does not match.
+    """
     out = []
     for idx, (g, key) in enumerate(zip(cat.graphs, cat.keys)):
         if query.regular is not None and g.is_regular() != query.regular:
             continue
         if query.connected is not None and g.is_connected() != query.connected:
             continue
-        values = {}
-        ok = True
-        for pid, want in query.param_values.items():
-            got = min_sets(g, Param.from_id(pid)).value
-            values[pid] = got
-            if got != want:
-                ok = False
-                break
-        if not ok:
+        try:
+            values = {}
+            ok = True
+            for pid, want in query.param_values.items():
+                got = min_sets(g, Param.from_id(pid)).value
+                values[pid] = got
+                if got != want:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if query.excellent_for is not None:
+                res = min_sets(g, Param.from_id(query.excellent_for))
+                values[query.excellent_for] = res.value
+                if not is_excellent(g, Param.from_id(query.excellent_for), result=res):
+                    continue
+            if query.pattern is not None:
+                par = Param.from_id(query.pattern_param)
+                res = min_sets(g, par)
+                values[query.pattern_param] = res.value
+                if not is_pattern_excellent(g, query.pattern, par, result=res):
+                    continue
+            family = None
+            if query.include_family:
+                family = excellent_family(g, Param.from_id(query.pattern_param))
+        except ParameterUndefinedError:
             continue
-        if query.excellent_for is not None:
-            res = min_sets(g, Param.from_id(query.excellent_for))
-            values[query.excellent_for] = res.value
-            if not is_excellent(g, Param.from_id(query.excellent_for), result=res):
-                continue
-        if query.pattern is not None:
-            par = Param.from_id(query.pattern_param)
-            res = min_sets(g, par)
-            values[query.pattern_param] = res.value
-            if not is_pattern_excellent(g, query.pattern, par, result=res):
-                continue
-        family = None
-        if query.include_family:
-            family = excellent_family(g, Param.from_id(query.pattern_param))
         out.append(SearchMatch(idx, g, key, values, family))
     return out

@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="normalize graph6, canonical forms, edge lists")
     p.add_argument("input", help="graph6 file, - for stdin, or inline graph6")
     p.add_argument("--to", choices=("graph6", "canonical", "edges"), default="graph6")
-    common(p)
+    p.add_argument("--output", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_convert)
     return parser
 

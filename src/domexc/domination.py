@@ -1,16 +1,16 @@
 """Exact domination-type parameters and complete minimum-set enumeration.
 
-Eight parameters are supported. Six are minimization problems solved by
+Eight parameters are supported. Seven are minimization problems solved by
 iterative deepening on the target size: a depth-first cover search
-branches on an uncovered vertex with the fewest remaining covering
-options, and once coverage saturates below the target the remaining
-slots are filled by explicit completion, so sets that are not minimal
-dominating sets (they exist for the restrained and outer-connected
-variants) are still found. At the first feasible size every satisfying
-set is collected. Independence-based parameters take different routes:
-the independence number by branch and bound that keeps all optima, the
-independent domination number by enumerating all maximal independent
-sets with a pivoting recursion.
+branches on an uncovered vertex with the fewest covering options, and
+once coverage saturates below the target the remaining slots are filled
+by explicit completion, so sets that are not minimal dominating sets
+(they exist for the restrained and outer-connected variants) are still
+found. At the first feasible size every satisfying set is collected.
+Independent domination is closed-neighborhood domination plus
+independence: its search only adds vertices that are not yet covered,
+so every partial set stays independent. The independence number is a
+maximization problem, solved by branch and bound that keeps all optima.
 """
 
 from __future__ import annotations
@@ -29,37 +29,39 @@ class ParameterUndefinedError(ValueError):
 class Param(Enum):
     """Domination-type parameter selector.
 
-    value tuple: (identifier, minimizing?, open neighborhoods for
-    coverage?, needs restrained condition?, needs connected complement?)
+    value tuple: (identifier, open neighborhoods for coverage?, needs
+    restrained condition?, needs connected complement?, must the set be
+    independent?). The independence number maximizes and reads none of
+    the columns after the identifier.
     """
 
-    GAMMA = ("gamma", True, False, False, False)
-    IND_DOM = ("i", True, False, False, False)
+    GAMMA = ("gamma", False, False, False, False)
+    IND_DOM = ("i", False, False, False, True)
     INDEPENDENCE = ("beta0", False, False, False, False)
-    TOTAL = ("gamma_t", True, True, False, False)
-    RESTRAINED = ("gamma_r", True, False, True, False)
-    OUTER_CONNECTED = ("gamma_oc", True, False, False, True)
-    TOTAL_RESTRAINED = ("gamma_tr", True, True, True, False)
-    TOTAL_OUTER_CONNECTED = ("gamma_t_oc", True, True, False, True)
+    TOTAL = ("gamma_t", True, False, False, False)
+    RESTRAINED = ("gamma_r", False, True, False, False)
+    OUTER_CONNECTED = ("gamma_oc", False, False, True, False)
+    TOTAL_RESTRAINED = ("gamma_tr", True, True, False, False)
+    TOTAL_OUTER_CONNECTED = ("gamma_t_oc", True, False, True, False)
 
     @property
     def id(self) -> str:
         return self.value[0]
 
     @property
-    def minimizing(self) -> bool:
+    def open_cover(self) -> bool:
         return self.value[1]
 
     @property
-    def open_cover(self) -> bool:
+    def restrained(self) -> bool:
         return self.value[2]
 
     @property
-    def restrained(self) -> bool:
+    def outer_connected(self) -> bool:
         return self.value[3]
 
     @property
-    def outer_connected(self) -> bool:
+    def independent(self) -> bool:
         return self.value[4]
 
     @classmethod
@@ -113,50 +115,20 @@ def _extra_ok(g: Graph, mask: int, param: Param) -> bool:
 def satisfies(g: Graph, mask: int, param: Param) -> bool:
     """Whether mask meets the defining predicate of param.
 
-    For minimization parameters this is the membership test (dominating,
-    plus side conditions); for the independence number it is independence;
-    for independent domination it is maximal independence. The empty set
-    satisfies the domination predicates exactly on the 0-vertex graph.
+    For minimization parameters this is the membership test (independent
+    where the parameter asks for it, dominating, plus side conditions); for
+    the independence number it is independence. The empty set satisfies
+    the domination predicates exactly on the 0-vertex graph.
     """
     if mask & ~g.full_mask:
         raise ValueError("vertex set outside the graph")
     if param is Param.INDEPENDENCE:
         return _is_independent(g, mask)
-    if param is Param.IND_DOM:
-        if not _is_independent(g, mask):
-            return False
-        # maximality: every outside vertex sees the set
-        for v in iter_bits(g.full_mask & ~mask):
-            if not g.adj[v] & mask:
-                return False
-        return True
+    if param.independent and not _is_independent(g, mask):
+        return False
     if not _is_dominating(g, mask, param.open_cover):
         return False
     return _extra_ok(g, mask, param)
-
-
-def _maximal_independent_sets(g: Graph) -> list[int]:
-    """All maximal independent sets (pivoting recursion on non-adjacency)."""
-    full = g.full_mask
-    allowed = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
-    out: list[int] = []
-
-    def expand(r: int, p: int, x: int):
-        if not p and not x:
-            out.append(r)
-            return
-        pivot, best = -1, -1
-        for u in iter_bits(p | x):
-            cnt = (allowed[u] & p).bit_count()
-            if cnt > best:
-                pivot, best = u, cnt
-        for v in iter_bits(p & ~allowed[pivot]):
-            expand(r | (1 << v), p & allowed[v], x & allowed[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    expand(0, full, 0)
-    return out
 
 
 def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
@@ -198,6 +170,9 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
         foot = [g.adj[v] | (1 << v) for v in range(g.n)]
     max_new = max((f.bit_count() for f in foot), default=0)
     plain = not (param.restrained or param.outer_connected)
+    # covered is the closed neighborhood of the set, so only uncovered
+    # candidates keep it independent
+    independent = param.independent
     results: set[int] = set()
     seen: set[int] = set()
 
@@ -215,6 +190,7 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
                     results.add(s)
                     return True
                 return False
+            # i never gets here: a smaller dominating s would have ended an earlier size
             pool = list(iter_bits(full & ~s))
             hit = False
             for extra in combinations(pool, k - size):
@@ -239,8 +215,9 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
                     break
         if options == 0:
             return False
+        candidates = foot[branch] & ~covered if independent else foot[branch]
         hit = False
-        for u in iter_bits(foot[branch]):
+        for u in iter_bits(candidates):
             if dfs(s | (1 << u), covered | foot[u]):
                 hit = True
                 if first_only:
@@ -257,11 +234,6 @@ def _solve(g: Graph, param: Param, first_only: bool) -> ParamResult:
     if param is Param.INDEPENDENCE:
         size, sets = _maximum_independent_sets(g)
         return ParamResult(param, size, tuple(sets))
-    if param is Param.IND_DOM:
-        sets = _maximal_independent_sets(g)
-        value = min(s.bit_count() for s in sets)
-        keep = sorted(s for s in sets if s.bit_count() == value)
-        return ParamResult(param, value, tuple(keep))
     if param.open_cover and g.isolated_vertices():
         raise ParameterUndefinedError(
             f"{param.id} is undefined: graph has an isolated vertex"

@@ -17,8 +17,8 @@ from domexc.catalog import (
     save_catalog,
     search,
 )
-from domexc.domination import Param, min_sets
-from domexc.excellence import is_excellent
+from domexc.domination import Param, ParameterUndefinedError, min_sets
+from domexc.excellence import is_excellent, is_pattern_excellent
 from domexc.graph6 import to_graph6
 from domexc.graphs import complete, cycle, path
 
@@ -207,6 +207,39 @@ def test_search_pattern_and_family():
     for m in got:
         assert m.family is not None and m.family.excellent
         assert canonical_key(complete(3)) in m.family.members
+
+
+def test_search_skips_graphs_with_undefined_parameter():
+    # gamma_t is undefined on the graphs of order 4 with an isolated vertex
+    cat = generate_all_graphs(4)
+
+    def defined_and(pred):
+        out = []
+        for g in cat:
+            try:
+                res = min_sets(g, Param.TOTAL)
+            except ParameterUndefinedError:
+                continue
+            if pred(g, res):
+                out.append(g)
+        return out
+
+    queries = [
+        (CatalogQuery(param_values={"gamma_t": 2}), lambda g, res: res.value == 2),
+        (
+            CatalogQuery(excellent_for="gamma_t"),
+            lambda g, res: is_excellent(g, Param.TOTAL, result=res),
+        ),
+        (
+            CatalogQuery(pattern=path(2), pattern_param="gamma_t"),
+            lambda g, res: is_pattern_excellent(g, path(2), Param.TOTAL, result=res),
+        ),
+    ]
+    for query, pred in queries:
+        want = defined_and(pred)
+        got = search(cat, query)
+        assert want and [m.graph for m in got] == want
+        assert all(not m.graph.isolated_vertices() for m in got)
 
 
 def test_search_disconnected_clause():

@@ -129,6 +129,39 @@ def test_bad_jobs_exit_2(capsys, monkeypatch, env, flag):
     assert err.count("\n") == 1 and source in err
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["family", "C~", "--param", "bogus"], "bogus"),
+        (["search", "--catalog", "no-such-dir/catalog.g6"], "No such file"),
+        (["search", "--gen", "all:4", "--pattern", "!!bad"], "graph6"),
+        (["gen", "trees", "15"], "order"),
+    ],
+)
+def test_input_errors_exit_2_with_one_line(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+def test_convert_takes_no_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "Cl", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "clause",
+    [["--excellent", "gamma_t"], ["--where", "gamma_t=2"], ["--pattern", "K2", "--pattern-param", "gamma_t"]],
+)
+def test_search_undefined_parameter_is_no_match(capsys, clause):
+    code, payload, err = run_json(capsys, "search", "--gen", "all:4", *clause)
+    assert code == 0 and err == ""
+    assert payload["input"]["size"] == 11
+    assert payload["results"] and all(r["values"]["gamma_t"] >= 2 for r in payload["results"])
+
+
 def test_analyze_bad_param(capsys):
     code, _, err = run(capsys, "analyze", "C~", "--param", "gamma,delta")
     assert code == 2 and "delta" in err

@@ -1,5 +1,8 @@
 """Parameter solvers against the brute-force oracle, plus side APIs."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from domexc.domination import (
     private_neighbors,
     satisfies,
 )
+from domexc.graph6 import to_graph6
 from domexc.graphs import (
     complete,
     cycle,
@@ -47,6 +51,33 @@ def test_oracle_all_orders_up_to_five():
         for g in generate_all_graphs(n):
             for pid in PARAM_IDS:
                 oracle_agrees(g, pid)
+
+
+def test_oracle_independent_domination_orders_six_and_seven():
+    for n in (6, 7):
+        for g in generate_all_graphs(n):
+            oracle_agrees(g, "i")
+
+
+# sha256 of [graph6, id, value, optimal sets] (value and sets null where
+# undefined) for every parameter on every graph of order 6 or less,
+# recorded before i joined the cover search
+MIN_SETS_SHA256 = "e73d9f27f30c136e9141ea8f4a58f41450a3b4557fbb8eddbbb0a12e0b685e2f"
+
+
+def test_min_sets_pinned_up_to_order_six():
+    rows = []
+    for n in range(1, 7):
+        for g in generate_all_graphs(n):
+            for pid in PARAM_IDS:
+                try:
+                    res = min_sets(g, Param.from_id(pid))
+                except ParameterUndefinedError:
+                    rows.append([to_graph6(g), pid, None, None])
+                    continue
+                rows.append([to_graph6(g), pid, res.value, list(res.sets)])
+    assert len(rows) == 208 * len(PARAM_IDS)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MIN_SETS_SHA256
 
 
 @settings(max_examples=80, deadline=None)
@@ -83,6 +114,12 @@ def test_known_values():
     assert param_value(path(2), Param.IND_DOM) == 1
 
 
+def test_independent_domination_of_many_triangles():
+    # one vertex per triangle, out of 3**21 maximal independent sets
+    g = disjoint_union([complete(3)] * 21)
+    assert param_value(g, Param.IND_DOM) == 21
+
+
 def test_total_undefined_with_isolates():
     g = disjoint_union([edgeless(1), path(3)])
     for par in (Param.TOTAL, Param.TOTAL_RESTRAINED, Param.TOTAL_OUTER_CONNECTED):
@@ -104,6 +141,12 @@ def test_satisfies_examples():
     assert not satisfies(g, 0b0001, Param.GAMMA)
     assert satisfies(g, 0b0101, Param.IND_DOM)
     assert not satisfies(g, 0b0011, Param.IND_DOM)
+    # {1, 2} dominates P4 but holds an edge; {0} is independent but not dominating
+    p4 = path(4)
+    assert satisfies(p4, 0b0110, Param.GAMMA)
+    assert not satisfies(p4, 0b0110, Param.IND_DOM)
+    assert not satisfies(p4, 0b0001, Param.IND_DOM)
+    assert satisfies(p4, 0b1001, Param.IND_DOM)
     with pytest.raises(ValueError):
         satisfies(g, 0b10000, Param.GAMMA)
 
