@@ -192,7 +192,13 @@ def save_catalog(cat: Catalog, path) -> None:
 
 
 def load_catalog(path) -> Catalog:
-    """Read a graph6 catalog file; duplicates are kept out but reported."""
+    """Read a graph6 catalog file; duplicates are kept out but reported.
+
+    Up to order CANON_CAP a duplicate is a graph isomorphic to an earlier
+    line. Above it graphs are keyed by their labelled adjacency, so only a
+    line with the same labelled graph counts as a duplicate, and isomorphic
+    relabellings are all kept.
+    """
     p = Path(path)
     reps: dict[IsoKey, Graph] = {}
     first_line: dict[IsoKey, int] = {}

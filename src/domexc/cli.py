@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern-param", default="gamma")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--include-family", action="store_true")
-    common(p)
+    p.add_argument("--output", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("convert", help="normalize graph6, canonical forms, edge lists")

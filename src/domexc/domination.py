@@ -1,16 +1,18 @@
 """Exact domination-type parameters and complete minimum-set enumeration.
 
-Eight parameters are supported. Seven are minimization problems solved by
-iterative deepening on the target size: a depth-first cover search
-branches on an uncovered vertex with the fewest covering options, and
-once coverage saturates below the target the remaining slots are filled
-by explicit completion, so sets that are not minimal dominating sets
-(they exist for the restrained and outer-connected variants) are still
-found. At the first feasible size every satisfying set is collected.
+Eight parameters are supported, and one search serves them all. For each
+target size a depth-first cover search branches on an uncovered vertex
+with the fewest covering options; once coverage saturates below the
+target the remaining slots are filled by explicit completion, so sets
+that are not minimal dominating sets (they exist for the restrained and
+outer-connected variants) are still found. The sizes are tried in turn
+and at the first feasible one every satisfying set is collected.
 Independent domination is closed-neighborhood domination plus
 independence: its search only adds vertices that are not yet covered,
-so every partial set stays independent. The independence number is a
-maximization problem, solved by branch and bound that keeps all optima.
+so every partial set stays independent. The maximum independent sets are
+exactly the independent dominating sets of the largest size that has
+one, so the independence number runs the same search with the sizes
+tried from the top down.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ class Param(Enum):
 
     value tuple: (identifier, open neighborhoods for coverage?, needs
     restrained condition?, needs connected complement?, must the set be
-    independent?). The independence number maximizes and reads none of
-    the columns after the identifier.
+    independent?). The independence number is searched as independent
+    domination at the largest feasible size; satisfies() still reads it
+    as independence alone.
     """
 
     GAMMA = ("gamma", False, False, False, False)
     IND_DOM = ("i", False, False, False, True)
-    INDEPENDENCE = ("beta0", False, False, False, False)
+    INDEPENDENCE = ("beta0", False, False, False, True)
     TOTAL = ("gamma_t", True, False, False, False)
     RESTRAINED = ("gamma_r", False, True, False, False)
     OUTER_CONNECTED = ("gamma_oc", False, False, True, False)
@@ -131,38 +134,13 @@ def satisfies(g: Graph, mask: int, param: Param) -> bool:
     return _extra_ok(g, mask, param)
 
 
-def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
-    """Independence number and all maximum independent sets."""
-    full = g.full_mask
-    allowed = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
-    best_size = -1
-    best: set[int] = set()
-    by_degree = sorted(range(g.n), key=lambda v: g.adj[v].bit_count(), reverse=True)
-
-    def grow(r: int, p: int):
-        nonlocal best_size, best
-        size = r.bit_count()
-        if size + p.bit_count() < best_size:
-            return
-        if not p:
-            if size > best_size:
-                best_size = size
-                best = {r}
-            elif size == best_size:
-                best.add(r)
-            return
-        for v in by_degree:
-            if p >> v & 1:
-                break
-        grow(r | (1 << v), p & allowed[v])
-        grow(r, p & ~(1 << v))
-
-    grow(0, full)
-    return best_size, sorted(best)
-
-
 def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
-    """All (or any) sets of size exactly k satisfying param's predicate."""
+    """All (or any) sets of size exactly k satisfying param's predicate.
+
+    For independent parameters a partial set that already dominates is a
+    maximal independent set, so it is never completed: it is a hit only
+    when its size is k.
+    """
     full = g.full_mask
     if param.open_cover:
         foot = list(g.adj)
@@ -190,7 +168,8 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
                     results.add(s)
                     return True
                 return False
-            # i never gets here: a smaller dominating s would have ended an earlier size
+            if independent:
+                return False
             pool = list(iter_bits(full & ~s))
             hit = False
             for extra in combinations(pool, k - size):
@@ -205,6 +184,9 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
             return False
         uncovered = full & ~covered
         if uncovered.bit_count() > (k - size) * max_new:
+            return False
+        # every vertex added to an independent set is still uncovered
+        if independent and size + uncovered.bit_count() < k:
             return False
         branch, options = -1, None
         for v in iter_bits(uncovered):
@@ -231,15 +213,14 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
 def _solve(g: Graph, param: Param, first_only: bool) -> ParamResult:
     if g.n < 1:
         raise ValueError("parameters are defined for graphs of order at least 1")
-    if param is Param.INDEPENDENCE:
-        size, sets = _maximum_independent_sets(g)
-        return ParamResult(param, size, tuple(sets))
     if param.open_cover and g.isolated_vertices():
         raise ParameterUndefinedError(
             f"{param.id} is undefined: graph has an isolated vertex"
         )
     lower = -(-g.n // (g.max_degree() + 1))
-    for k in range(max(1, lower), g.n + 1):
+    sizes = range(max(1, lower), g.n + 1)
+    # every maximum independent set dominates, so beta0 is the largest hit
+    for k in reversed(sizes) if param is Param.INDEPENDENCE else sizes:
         found = _cover_search(g, k, param, first_only)
         if found:
             return ParamResult(param, k, tuple(found))

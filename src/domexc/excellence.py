@@ -35,9 +35,6 @@ class FamilyResult:
     members: tuple[IsoKey, ...]
     witness: tuple[tuple[tuple[int, int], ...], ...]
 
-    def member_graphs(self) -> tuple[Graph, ...]:
-        return tuple(k.graph() for k in self.members)
-
 
 def sets_union(sets) -> int:
     m = 0

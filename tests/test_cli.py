@@ -144,9 +144,12 @@ def test_input_errors_exit_2_with_one_line(capsys, argv, needle):
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
-def test_convert_takes_no_jobs(capsys):
+@pytest.mark.parametrize(
+    "argv", [["convert", "Cl"], ["search", "--gen", "all:3"]], ids=["convert", "search"]
+)
+def test_convert_takes_no_jobs(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["convert", "Cl", "--jobs", "2"])
+        main([*argv, "--jobs", "2"])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
 

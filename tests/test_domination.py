@@ -22,6 +22,7 @@ from domexc.domination import (
 )
 from domexc.graph6 import to_graph6
 from domexc.graphs import (
+    cartesian_product,
     complete,
     cycle,
     disjoint_union,
@@ -53,10 +54,11 @@ def test_oracle_all_orders_up_to_five():
                 oracle_agrees(g, pid)
 
 
-def test_oracle_independent_domination_orders_six_and_seven():
+@pytest.mark.parametrize("pid", ["i", "beta0"])
+def test_oracle_independent_domination_orders_six_and_seven(pid):
     for n in (6, 7):
         for g in generate_all_graphs(n):
-            oracle_agrees(g, "i")
+            oracle_agrees(g, pid)
 
 
 # sha256 of [graph6, id, value, optimal sets] (value and sets null where
@@ -113,6 +115,17 @@ def test_known_values():
     assert param_value(edgeless(4), Param.GAMMA) == 4
     assert param_value(path(2), Param.IND_DOM) == 1
 
+    # closed forms for beta0: value and number of maximum independent sets
+    for g, value, count in (
+        (path(30), 15, 16),
+        (cycle(27), 13, 27),
+        (cartesian_product(complete(6), complete(6)), 6, 720),
+        (disjoint_union([complete(3)] * 8), 8, 3**8),
+    ):
+        res = min_sets(g, Param.INDEPENDENCE)
+        assert (res.value, len(res.sets)) == (value, count)
+        assert param_value(g, Param.INDEPENDENCE) == value
+
 
 def test_independent_domination_of_many_triangles():
     # one vertex per triangle, out of 3**21 maximal independent sets
@@ -147,6 +160,8 @@ def test_satisfies_examples():
     assert not satisfies(p4, 0b0110, Param.IND_DOM)
     assert not satisfies(p4, 0b0001, Param.IND_DOM)
     assert satisfies(p4, 0b1001, Param.IND_DOM)
+    # beta0 keeps its independence-only predicate
+    assert satisfies(p4, 0b0001, Param.INDEPENDENCE)
     with pytest.raises(ValueError):
         satisfies(g, 0b10000, Param.GAMMA)
 
