@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graph6 import encode_bits, from_triangle_bits
 from .graphs import Graph, iter_bits
 
 CANON_CAP = 12
@@ -31,9 +32,9 @@ PATTERN_CAP = 8
 class IsoKey:
     """Canonical identity of a graph: order plus packed adjacency bits.
 
-    bits holds the upper triangle of the canonical adjacency matrix,
-    column major, first bit most significant. Equal keys mean isomorphic
-    graphs and vice versa (within the supported order cap).
+    bits holds the canonical adjacency matrix in the graph6 triangle
+    layout (see graph6.triangle_bits). Equal keys mean isomorphic graphs
+    and vice versa (within the supported order cap).
     """
 
     n: int
@@ -41,21 +42,10 @@ class IsoKey:
 
     def graph(self) -> Graph:
         """Reconstruct the canonical representative."""
-        nbits = self.n * (self.n - 1) // 2
-        rows = [0] * self.n
-        at = nbits - 1
-        for col in range(1, self.n):
-            for row in range(col):
-                if self.bits >> at & 1:
-                    rows[row] |= 1 << col
-                    rows[col] |= 1 << row
-                at -= 1
-        return Graph(self.n, tuple(rows))
+        return from_triangle_bits(self.n, self.bits)
 
     def graph6(self) -> str:
-        from .graph6 import to_graph6
-
-        return to_graph6(self.graph())
+        return encode_bits(self.n, self.bits)
 
 
 def _twin_classes(g: Graph) -> list[int]:
@@ -83,6 +73,9 @@ def _find(parent: list[int], v: int) -> int:
 def _lex_min(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     """Lex-min adjacency bits of g and the automorphisms met on the way.
 
+    The bits are built here, block by block, in the graph6 triangle
+    layout: the block at depth d holds the adjacency of the vertex placed
+    at d to those placed before it, first placed vertex most significant.
     Each automorphism p is a tuple with p[v] the image of v; there is one
     per leaf whose string tied the best one.
     """

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canon import CANON_CAP, IsoKey, _find, automorphisms, canonical_key
-from .domination import PARAM_IDS, Param, ParameterUndefinedError, min_sets
+from .domination import PARAM_IDS, Param, ParameterUndefinedError, ParamResult, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
-from .graph6 import parse_lines, to_graph6
+from .graph6 import parse_lines, to_graph6, triangle_bits
 from .graphs import Graph, edgeless
 
 ALL_GRAPHS_CAP = 7
@@ -195,9 +195,9 @@ def load_catalog(path) -> Catalog:
     """Read a graph6 catalog file; duplicates are kept out but reported.
 
     Up to order CANON_CAP a duplicate is a graph isomorphic to an earlier
-    line. Above it graphs are keyed by their labelled adjacency, so only a
-    line with the same labelled graph counts as a duplicate, and isomorphic
-    relabellings are all kept.
+    line. Above it a graph g is keyed by IsoKey(n, triangle_bits(g)) of its
+    labelled adjacency, so only a line with the same labelled graph counts
+    as a duplicate, and isomorphic relabellings are all kept.
     """
     p = Path(path)
     reps: dict[IsoKey, Graph] = {}
@@ -206,9 +206,10 @@ def load_catalog(path) -> Catalog:
     for lineno, item in parse_lines(p.read_text()):
         if isinstance(item, Exception):
             raise type(item)(f"line {lineno}: {item}")
-        key = canonical_key(item) if item.n <= CANON_CAP else None
-        if key is None:
-            key = IsoKey(item.n, _big_bits(item))
+        if item.n <= CANON_CAP:
+            key = canonical_key(item)
+        else:
+            key = IsoKey(item.n, triangle_bits(item))
         if key in reps:
             warnings.append(
                 f"line {lineno} duplicates line {first_line[key]} up to isomorphism"
@@ -217,15 +218,6 @@ def load_catalog(path) -> Catalog:
         reps[key] = item
         first_line[key] = lineno
     return _sorted_catalog(f"file:{p}", reps, warnings)
-
-
-def _big_bits(g: Graph) -> int:
-    # labeled identity fallback for graphs beyond the canonical-key cap
-    bits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = bits << 1 | (g.adj[i] >> j & 1)
-    return bits
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,8 @@ class SearchMatch:
 def search(cat: Catalog, query: CatalogQuery) -> list[SearchMatch]:
     """Catalog entries satisfying every clause of the query.
 
-    A graph on which a queried parameter is undefined does not match.
+    Each parameter is solved at most once per graph. A graph on which a
+    queried parameter is undefined does not match.
     """
     out = []
     for idx, (g, key) in enumerate(zip(cat.graphs, cat.keys)):
@@ -276,31 +269,30 @@ def search(cat: Catalog, query: CatalogQuery) -> list[SearchMatch]:
             continue
         if query.connected is not None and g.is_connected() != query.connected:
             continue
+        results: dict[str, ParamResult] = {}
+
+        def solve(pid: str) -> ParamResult:
+            if pid not in results:
+                results[pid] = min_sets(g, Param.from_id(pid))
+            return results[pid]
+
         try:
-            values = {}
-            ok = True
-            for pid, want in query.param_values.items():
-                got = min_sets(g, Param.from_id(pid)).value
-                values[pid] = got
-                if got != want:
-                    ok = False
-                    break
-            if not ok:
+            if any(solve(pid).value != want for pid, want in query.param_values.items()):
                 continue
             if query.excellent_for is not None:
-                res = min_sets(g, Param.from_id(query.excellent_for))
-                values[query.excellent_for] = res.value
-                if not is_excellent(g, Param.from_id(query.excellent_for), result=res):
+                par = Param.from_id(query.excellent_for)
+                if not is_excellent(g, par, result=solve(par.id)):
                     continue
             if query.pattern is not None:
                 par = Param.from_id(query.pattern_param)
-                res = min_sets(g, par)
-                values[query.pattern_param] = res.value
-                if not is_pattern_excellent(g, query.pattern, par, result=res):
+                if not is_pattern_excellent(g, query.pattern, par, result=solve(par.id)):
                     continue
+            # values cover the clauses, not a parameter only the family needs
+            values = {pid: res.value for pid, res in results.items()}
             family = None
             if query.include_family:
-                family = excellent_family(g, Param.from_id(query.pattern_param))
+                par = Param.from_id(query.pattern_param)
+                family = excellent_family(g, par, result=solve(par.id))
         except ParameterUndefinedError:
             continue
         out.append(SearchMatch(idx, g, key, values, family))

@@ -8,7 +8,7 @@ Input is a file path, - for stdin, or an inline graph6 string. Reports
 are JSON by default and deterministic: runtimes stay null unless
 --timings is given, so repeated runs serialize identically. Exit codes:
 0 success, 1 failed verification claims, 2 input errors or an
-unsupported request, which analyze and family report per graph.
+unsupported request, which analyze, family and convert report per graph.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ def _read_source(source: str) -> tuple[str, str]:
     except Graph6Error:
         raise Graph6Error(f"no such file and not a graph6 string: {source!r}")
     return "inline", source
-
-
-def _parse_input(source: str) -> tuple[str, list]:
-    kind, text = _read_source(source)
-    return kind, list(parse_lines(text))
 
 
 def _pattern_graph(spec: str) -> Graph:
@@ -173,17 +168,19 @@ def _guarded(worker, item: tuple[int, int, str]) -> dict:
         return {"index": index, "line": lineno, "error": str(exc)}
 
 
-def _graph_report(args, worker, lines) -> int:
+def _graph_report(args, worker, text_line) -> int:
     """Run worker on every input graph, print the report, return the exit code.
 
     Unparsable lines and unsupported requests become per-graph error
-    entries, and exit 2; the other graphs are still reported.
+    entries, and exit 2; the other graphs are still reported. text_line
+    formats one graph's entry for --output text.
     """
     try:
-        kind, parsed = _parse_input(args.input)
+        kind, text = _read_source(args.input)
     except (OSError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    parsed = list(parse_lines(text))
     results: list = [None] * len(parsed)
     pending = []
     for pos, (lineno, item) in enumerate(parsed):
@@ -191,8 +188,17 @@ def _graph_report(args, worker, lines) -> int:
             pending.append((pos, lineno, to_graph6(item)))
         else:
             results[pos] = {"index": pos, "line": lineno, "error": str(item)}
-    for entry in _pmap(partial(_guarded, worker), pending, args.jobs):
+    # convert takes no --jobs and runs serially
+    for entry in _pmap(partial(_guarded, worker), pending, getattr(args, "jobs", 1)):
         results[entry["index"]] = entry
+
+    def lines(p):
+        for r in p["results"]:
+            if "error" in r:
+                yield f"{r['index']}: line {r['line']}: error: {r['error']}"
+            else:
+                yield text_line(r)
+
     meta = {"source": kind, "graphs": len(parsed)}
     _emit({"tool_version": __version__, "input": meta, "results": results}, args.output, lines)
     return 2 if any("error" in r for r in results) else 0
@@ -206,21 +212,17 @@ def cmd_analyze(args) -> int:
         return 2
     worker = partial(_analyze_one, param_ids=tuple(p.id for p in params))
 
-    def lines(p):
-        for r in p["results"]:
-            if "error" in r:
-                yield f"{r['index']}: line {r['line']}: error: {r['error']}"
+    def text_line(r):
+        parts = []
+        for pid, info in r["params"].items():
+            if not info["defined"]:
+                parts.append(f"{pid}=undefined")
                 continue
-            parts = []
-            for pid, info in r["params"].items():
-                if not info["defined"]:
-                    parts.append(f"{pid}=undefined")
-                    continue
-                flag = "excellent" if info["excellent"] else "not excellent"
-                parts.append(f"{pid}={info['value']} ({info['optimal_sets']} sets, {flag})")
-            yield f"{r['index']}: {r['graph6']} n={r['order']} m={r['size']} " + "; ".join(parts)
+            flag = "excellent" if info["excellent"] else "not excellent"
+            parts.append(f"{pid}={info['value']} ({info['optimal_sets']} sets, {flag})")
+        return f"{r['index']}: {r['graph6']} n={r['order']} m={r['size']} " + "; ".join(parts)
 
-    return _graph_report(args, worker, lines)
+    return _graph_report(args, worker, text_line)
 
 
 def cmd_family(args) -> int:
@@ -229,30 +231,26 @@ def cmd_family(args) -> int:
         return 2
     worker = partial(_family_one, pid=args.param)
 
-    def lines(p):
-        for r in p["results"]:
-            if "error" in r:
-                yield f"{r['index']}: line {r['line']}: error: {r['error']}"
-            elif not r["defined"]:
-                yield f"{r['index']}: {r['graph6']} {r['param']} undefined"
-            elif not r["excellent"]:
-                yield f"{r['index']}: {r['graph6']} {r['param']}={r['value']} not excellent"
-            else:
-                names = ", ".join(m["name"] for m in r["members"])
-                yield f"{r['index']}: {r['graph6']} {r['param']}={r['value']} members: {names}"
+    def text_line(r):
+        if not r["defined"]:
+            return f"{r['index']}: {r['graph6']} {r['param']} undefined"
+        if not r["excellent"]:
+            return f"{r['index']}: {r['graph6']} {r['param']}={r['value']} not excellent"
+        names = ", ".join(m["name"] for m in r["members"])
+        return f"{r['index']}: {r['graph6']} {r['param']}={r['value']} members: {names}"
 
-    return _graph_report(args, worker, lines)
+    return _graph_report(args, worker, text_line)
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, run_long=args.long, jobs=args.jobs, timings=args.timings)
+    reports = run_suite(args.suite, jobs=args.jobs, timings=args.timings)
     results = [r.to_json() for r in reports]
     counts = {"pass": 0, "fail": 0, "skipped-long-running": 0}
     for r in reports:
         counts[r.status] += 1
     payload = {
         "tool_version": __version__,
-        "input": {"suite": args.suite, "long": args.long or args.suite == "long"},
+        "input": {"suite": args.suite, "long": args.suite == "long"},
         "summary": counts,
         "results": results,
     }
@@ -353,39 +351,25 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _convert_one(item: tuple[int, str], to: str) -> dict:
+    index, line = item
+    g = from_graph6(line)
+    entry = _identity(index, g)
+    if to == "edges":
+        entry["order"] = g.n
+        entry["edges"] = [list(e) for e in g.edges()]
+    return entry
+
+
 def cmd_convert(args) -> int:
-    try:
-        kind, parsed = _parse_input(args.input)
-    except (OSError, Graph6Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = []
-    had_error = False
-    for pos, (lineno, item) in enumerate(parsed):
-        if not isinstance(item, Graph):
-            had_error = True
-            results.append({"index": pos, "line": lineno, "error": str(item)})
-            continue
-        entry = _identity(pos, item)
+    def text_line(r):
+        if args.to == "canonical":
+            return r["canonical_graph6"] or r["graph6"]
         if args.to == "edges":
-            entry["order"] = item.n
-            entry["edges"] = [list(e) for e in item.edges()]
-        results.append(entry)
-    payload = {"tool_version": __version__, "input": {"source": kind}, "results": results}
+            return json.dumps({"order": r["order"], "edges": r["edges"]})
+        return r["graph6"]
 
-    def lines(p):
-        for r in p["results"]:
-            if "error" in r:
-                yield f"{r['index']}: line {r['line']}: error: {r['error']}"
-            elif args.to == "canonical":
-                yield r["canonical_graph6"] or r["graph6"]
-            elif args.to == "edges":
-                yield json.dumps({"order": r["order"], "edges": r["edges"]})
-            else:
-                yield r["graph6"]
-
-    _emit(payload, args.output, lines)
-    return 2 if had_error else 0
+    return _graph_report(args, partial(_convert_one, to=args.to), text_line)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the recorded claim suite")
     p.add_argument("--suite", choices=("quick", "paper", "long"), default="paper")
-    p.add_argument("--long", action="store_true", help="run claims tagged long-running")
     p.add_argument("--timings", action="store_true", help="fill runtime fields")
     common(p)
     p.set_defaults(func=cmd_verify)

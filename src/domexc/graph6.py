@@ -1,12 +1,13 @@
-"""graph6 encoding and decoding.
+"""graph6 encoding and decoding, and the adjacency layout it shares.
 
-The format packs the upper triangle of the adjacency matrix column by
-column (bits a01, a02, a12, a03, a13, a23, ...) into 6-bit groups, most
-significant bit first, zero padded, each group printed as its value + 63.
-The leading bytes encode the order: one byte for n <= 62, or '~' plus
-three 6-bit bytes for larger n (supported here up to the 64-vertex
-capacity). Only undirected graph6 is handled; sparse6 and digraph6 input
-is rejected.
+The layout: the upper triangle of the adjacency matrix, column by column
+(bits a01, a02, a12, a03, a13, a23, ...), first bit most significant.
+triangle_bits packs a graph into it and from_triangle_bits unpacks it;
+canonical keys (canon.IsoKey) hold their bits in it too. graph6 text is
+the order, in one byte for n <= 62 or '~' plus three 6-bit bytes for
+larger n (supported here up to the 64-vertex capacity), then the layout
+zero padded to 6-bit groups, each group printed as its value + 63. Only
+undirected graph6 is handled; sparse6 and digraph6 input is rejected.
 """
 
 from __future__ import annotations
@@ -26,34 +27,44 @@ class Graph6Error(ValueError):
         super().__init__(message)
 
 
-def _triangle_bits(g: Graph):
+def triangle_bits(g: Graph) -> int:
+    """The upper triangle of g's adjacency matrix, in the layout above."""
+    bits = 0
     for col in range(1, g.n):
         for row in range(col):
-            yield g.adj[row] >> col & 1
+            bits = bits << 1 | (g.adj[row] >> col & 1)
+    return bits
+
+
+def from_triangle_bits(n: int, bits: int) -> Graph:
+    """The graph of order n whose triangle_bits are bits."""
+    rows = [0] * n
+    at = n * (n - 1) // 2
+    for col in range(1, n):
+        for row in range(col):
+            at -= 1
+            if bits >> at & 1:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+    return Graph(n, tuple(rows))
+
+
+def encode_bits(n: int, bits: int) -> str:
+    """graph6 text, without header, for order n and triangle bits."""
+    if n <= 62:
+        size = chr(n + 63)
+    else:
+        size = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits <<= 6 * groups - nbits
+    return size + "".join(chr(63 + (bits >> 6 * k & 63)) for k in range(groups - 1, -1, -1))
 
 
 def to_graph6(g: Graph, header: bool = False) -> str:
     """Encode a graph; orders 63 and 64 use the long size form."""
-    if g.n <= 62:
-        size = chr(g.n + 63)
-    else:
-        size = "~" + "".join(
-            chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)
-        )
-    chunks = []
-    acc = 0
-    fill = 0
-    for bit in _triangle_bits(g):
-        acc = acc << 1 | bit
-        fill += 1
-        if fill == 6:
-            chunks.append(chr(acc + 63))
-            acc = 0
-            fill = 0
-    if fill:
-        chunks.append(chr((acc << (6 - fill)) + 63))
     prefix = HEADER if header else ""
-    return prefix + size + "".join(chunks)
+    return prefix + encode_bits(g.n, triangle_bits(g))
 
 
 def from_graph6(line: str) -> Graph:
@@ -105,34 +116,14 @@ def from_graph6(line: str) -> Graph:
             f"expected {need} adjacency bytes for order {n}, found {len(s) - at}",
             base + at,
         )
-    rows = [0] * n
-    bit_at = 0
-    for k in range(need):
-        group = ord(s[at + k]) - 63
-        for j in range(6):
-            bit = group >> (5 - j) & 1
-            if bit_at >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", base + at + k)
-                continue
-            if bit:
-                # bit index -> (row, col) of the upper triangle, column major
-                col = _col_of(bit_at)
-                row = bit_at - col * (col - 1) // 2
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            bit_at += 1
-    return Graph(n, tuple(rows))
-
-
-def _col_of(bit_index: int) -> int:
-    # smallest col with col*(col+1)/2 > bit_index
-    col = int((2 * bit_index) ** 0.5)
-    while col * (col + 1) // 2 <= bit_index:
-        col += 1
-    while col * (col - 1) // 2 > bit_index:
-        col -= 1
-    return col
+    body = 0
+    for ch in s[at:]:
+        body = body << 6 | (ord(ch) - 63)
+    pad = 6 * need - nbits
+    if body & ((1 << pad) - 1):
+        # padding fills part of the last byte only
+        raise Graph6Error("nonzero padding bits", base + len(s) - 1)
+    return from_triangle_bits(n, body >> pad)
 
 
 def parse_lines(text: str):

@@ -17,6 +17,7 @@ from domexc.canon import (
     tree_key,
 )
 from domexc.catalog import generate_all_graphs
+from domexc.graph6 import to_graph6
 from domexc.graphs import (
     cartesian_product,
     complete,
@@ -120,6 +121,10 @@ def test_iso_key_graph6():
     key = canonical_key(complete(4))
     assert key.graph6() == "C~"
     assert isinstance(key, IsoKey)
+    # graph6() encodes the key's bits directly; it must match the long way round
+    for n in range(1, 8):
+        for key in generate_all_graphs(n).keys:
+            assert key.graph6() == to_graph6(key.graph())
 
 
 def test_induced_copies_match_brute_force():

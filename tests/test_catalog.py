@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from domexc import catalog, excellence
 from domexc.canon import canonical_key
 from domexc.catalog import (
     ALL_GRAPHS_CAP,
@@ -207,6 +209,27 @@ def test_search_pattern_and_family():
     for m in got:
         assert m.family is not None and m.family.excellent
         assert canonical_key(complete(3)) in m.family.members
+
+
+def test_search_solves_each_parameter_once_per_graph(monkeypatch):
+    calls = Counter()
+
+    def counted(g, param):
+        calls[g, param] += 1
+        return min_sets(g, param)
+
+    monkeypatch.setattr(catalog, "min_sets", counted)
+    monkeypatch.setattr(excellence, "min_sets", counted)
+    cat = generate_regular(9, 4)
+    q = CatalogQuery(
+        param_values={"gamma": 3}, excellent_for="i", pattern=complete(3), include_family=True
+    )
+    got = search(cat, q)
+    assert len(got) == 3
+    assert all(m.values == {"gamma": 3, "i": 3} for m in got)
+    assert all(canonical_key(complete(3)) in m.family.members for m in got)
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(cat) + len(got)
 
 
 def test_search_skips_graphs_with_undefined_parameter():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from domexc.cli import main
+from domexc.cli import build_parser, main
 from domexc.graph6 import to_graph6
 from domexc.graphs import cycle, path
 
@@ -64,6 +64,21 @@ def test_analyze_file_with_bad_line(tmp_path, capsys):
     assert len(rs) == 3
     assert "error" in rs[1] and rs[1]["line"] == 2
     assert rs[0]["graph6"] == "C~" and rs[2]["graph6"] == "Bw"
+
+
+def test_convert_file_with_bad_line(tmp_path, capsys):
+    f = tmp_path / "mixed.g6"
+    f.write_text("C~\n{oops\nBw\n")
+    _, analyzed, _ = run_json(capsys, "analyze", str(f))
+    code, payload, _ = run_json(capsys, "convert", str(f))
+    assert code == 2
+    assert payload["input"] == analyzed["input"]
+    rs = payload["results"]
+    assert rs[1] == analyzed["results"][1] and set(rs[1]) == {"index", "line", "error"}
+    assert [rs[0]["graph6"], rs[2]["graph6"]] == ["C~", "Bw"]
+    code, out, _ = run(capsys, "convert", str(f), "--output", "text")
+    assert code == 2
+    assert out.splitlines() == ["C~", f"1: line 2: error: {rs[1]['error']}", "Bw"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -224,6 +239,14 @@ def test_verify_paper_expected_failures(capsys):
     assert payload["summary"]["pass"] == 28
 
 
+def test_verify_has_no_long_flag(capsys):
+    # --suite long is the one way to run long-running claims
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify", "--suite", "paper", "--long"])
+    assert exc.value.code == 2
+    assert "--long" in capsys.readouterr().err
+
+
 def test_verify_timings(capsys):
     code, payload, _ = run_json(capsys, "verify", "--suite", "quick", "--timings")
     assert code == 0
@@ -321,6 +344,7 @@ def test_convert_canonical_idempotent(capsys):
 def test_convert_edges(capsys):
     code, payload, _ = run_json(capsys, "convert", "Cl", "--to", "edges")
     assert code == 0
+    assert payload["input"] == {"source": "inline", "graphs": 1}
     r = payload["results"][0]
     assert r["order"] == 4 and len(r["edges"]) == 4
 

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domexc.graph6 import Graph6Error, from_graph6, parse_lines, to_graph6
+from domexc.graph6 import (
+    Graph6Error,
+    from_graph6,
+    from_triangle_bits,
+    parse_lines,
+    to_graph6,
+    triangle_bits,
+)
 from domexc.graphs import Graph, complete, cycle, edgeless, path
 from helpers import random_graph
 
@@ -58,6 +65,15 @@ def test_error_offsets():
         from_graph6("C~~")  # trailing bytes
 
 
+@pytest.mark.parametrize("line", ["A`", "Bx"])
+def test_nonzero_padding_rejected(line):
+    # the padding bits sit in the last byte, which is byte 1 here
+    with pytest.raises(Graph6Error) as err:
+        from_graph6(line)
+    assert err.value.offset == 1
+    assert str(err.value) == "nonzero padding bits (byte 1)"
+
+
 def test_parse_lines_mixed():
     text = ">>graph6<<\n" + to_graph6(cycle(3)) + "\n\nnot!valid\n" + to_graph6(path(2)) + "\n"
     items = list(parse_lines(text))
@@ -76,6 +92,7 @@ def test_parse_lines_mixed():
 def test_round_trip_random(n, bits):
     g = random_graph(n, bits)
     assert from_graph6(to_graph6(g)) == g
+    assert from_triangle_bits(n, triangle_bits(g)) == g
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,3 +100,4 @@ def test_round_trip_random(n, bits):
 def test_round_trip_long_form(n, bits):
     g = random_graph(n, bits)
     assert from_graph6(to_graph6(g)) == g
+    assert from_triangle_bits(n, triangle_bits(g)) == g
