@@ -222,11 +222,16 @@ def induced_copies(g: Graph, pattern: Graph) -> list[int]:
     return list(iter_induced_copies(g, pattern))
 
 
+def check_pattern_order(p: int) -> None:
+    """Raise ValueError when a pattern of order p exceeds PATTERN_CAP."""
+    if p > PATTERN_CAP:
+        raise ValueError(f"pattern order {p} exceeds the cap {PATTERN_CAP}")
+
+
 def iter_induced_copies(g: Graph, pattern: Graph):
     """Yield induced-copy masks lazily, in ascending order."""
     p = pattern.n
-    if p > PATTERN_CAP:
-        raise ValueError(f"pattern order {p} exceeds the cap {PATTERN_CAP}")
+    check_pattern_order(p)
     if p == 0:
         yield 0
         return

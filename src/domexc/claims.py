@@ -14,7 +14,7 @@ parameter id, expected member names) read by one evaluator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from math import ceil
 from typing import Callable
@@ -79,14 +79,7 @@ class ClaimReport:
     runtime: float | None
 
     def to_json(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "anchor": self.anchor,
-            "status": self.status,
-            "expected": self.expected,
-            "computed": self.computed,
-            "runtime": self.runtime,
-        }
+        return asdict(self)
 
 
 @lru_cache(maxsize=None)

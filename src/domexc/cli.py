@@ -51,18 +51,21 @@ def _identity(index: int, g: Graph) -> dict:
     }
 
 
-def _read_source(source: str) -> tuple[str, str]:
-    """Resolve an input argument to (kind, text) or raise Graph6Error."""
+def _read_source(source: str) -> tuple[str, list]:
+    """Resolve an input argument to (kind, entries) or raise Graph6Error.
+
+    entries are parse_lines pairs, (line number, Graph or Graph6Error), and
+    workers receive these parsed graphs; an inline argument is one entry.
+    """
     if source == "-":
-        return "stdin", sys.stdin.read()
+        return "stdin", list(parse_lines(sys.stdin.read()))
     if os.path.exists(source):
         with open(source, encoding="ascii") as fh:
-            return source, fh.read()
+            return source, list(parse_lines(fh.read()))
     try:
-        from_graph6(source)
+        return "inline", [(1, from_graph6(source))]
     except Graph6Error:
         raise Graph6Error(f"no such file and not a graph6 string: {source!r}")
-    return "inline", source
 
 
 def _pattern_graph(spec: str) -> Graph:
@@ -105,9 +108,8 @@ def _param_list(spec: str) -> list[Param]:
     return [Param.from_id(pid.strip()) for pid in spec.split(",")]
 
 
-def _analyze_one(item: tuple[int, str], param_ids: tuple[str, ...]) -> dict:
-    index, line = item
-    g = from_graph6(line)
+def _analyze_one(item: tuple[int, Graph], param_ids: tuple[str, ...]) -> dict:
+    index, g = item
     entry = _identity(index, g)
     entry.update(
         {
@@ -134,9 +136,8 @@ def _analyze_one(item: tuple[int, str], param_ids: tuple[str, ...]) -> dict:
     return entry
 
 
-def _family_one(item: tuple[int, str], pid: str) -> dict:
-    index, line = item
-    g = from_graph6(line)
+def _family_one(item: tuple[int, Graph], pid: str) -> dict:
+    index, g = item
     entry = _identity(index, g)
     par = Param.from_id(pid)
     try:
@@ -159,11 +160,11 @@ def _family_one(item: tuple[int, str], pid: str) -> dict:
     return entry
 
 
-def _guarded(worker, item: tuple[int, int, str]) -> dict:
+def _guarded(worker, item: tuple[int, int, Graph]) -> dict:
     """Run a per-graph worker; an unsupported request becomes the graph's error entry."""
-    index, lineno, line = item
+    index, lineno, g = item
     try:
-        return worker((index, line))
+        return worker((index, g))
     except ValueError as exc:
         return {"index": index, "line": lineno, "error": str(exc)}
 
@@ -171,21 +172,21 @@ def _guarded(worker, item: tuple[int, int, str]) -> dict:
 def _graph_report(args, worker, text_line) -> int:
     """Run worker on every input graph, print the report, return the exit code.
 
+    The worker receives (index, graph) with the graph _read_source parsed.
     Unparsable lines and unsupported requests become per-graph error
     entries, and exit 2; the other graphs are still reported. text_line
     formats one graph's entry for --output text.
     """
     try:
-        kind, text = _read_source(args.input)
+        kind, parsed = _read_source(args.input)
     except (OSError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parsed = list(parse_lines(text))
     results: list = [None] * len(parsed)
     pending = []
     for pos, (lineno, item) in enumerate(parsed):
         if isinstance(item, Graph):
-            pending.append((pos, lineno, to_graph6(item)))
+            pending.append((pos, lineno, item))
         else:
             results[pos] = {"index": pos, "line": lineno, "error": str(item)}
     # convert takes no --jobs and runs serially
@@ -351,9 +352,8 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _convert_one(item: tuple[int, str], to: str) -> dict:
-    index, line = item
-    g = from_graph6(line)
+def _convert_one(item: tuple[int, Graph], to: str) -> dict:
+    index, g = item
     entry = _identity(index, g)
     if to == "edges":
         entry["order"] = g.n

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import IsoKey, canonical_key, iter_induced_copies
+from .canon import PATTERN_CAP, IsoKey, canonical_key, check_pattern_order, iter_induced_copies
 from .domination import Param, ParamResult, min_sets
+from .graph6 import to_graph6
 from .graphs import Graph, iter_bits
 
 
@@ -93,11 +94,14 @@ def excellent_family(
 
     Candidate patterns are the isomorphism classes of induced subgraphs
     of optimal sets, over all nonempty subset sizes; condition (i) makes
-    this exhaustive. A non-excellent graph yields no members.
+    this exhaustive. A non-excellent graph yields no members; an optimal
+    set past the pattern cap raises ValueError before candidates are built.
     """
     res = result if result is not None else min_sets(g, param)
     if sets_union(res.sets) != g.full_mask:
         return FamilyResult(param, False, res.value, (), ())
+    # candidates take every order up to the largest set; name the first past the cap
+    check_pattern_order(min(max(d.bit_count() for d in res.sets), PATTERN_CAP + 1))
 
     subset_masks: set[int] = set()
     for d in res.sets:
@@ -151,6 +155,4 @@ def _component_name(h: Graph) -> str:
         return f"P{n}"
     if all(d == 2 for d in degs):
         return f"C{n}"
-    from .graph6 import to_graph6
-
     return to_graph6(h)

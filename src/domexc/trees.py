@@ -14,6 +14,7 @@ from functools import lru_cache
 from .canon import IsoKey, canonical_key, tree_key
 from .domination import Param, critical_split, min_sets, satisfies
 from .excellence import is_excellent
+from .graph6 import to_graph6
 from .graphs import Graph, coalescence, corona1, edgeless, iter_bits, set_of
 
 TREE_ENUM_CAP = 14
@@ -36,8 +37,6 @@ class LabeledTree:
             raise ValueError("labels must cover every vertex")
 
     def report(self) -> dict:
-        from .graph6 import to_graph6
-
         return {"graph6": to_graph6(self.tree), "zeros": hex(self.zeros)}
 
 

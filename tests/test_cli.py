@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import domexc.cli
+import domexc.graph6
 from domexc.cli import build_parser, main
 from domexc.graph6 import to_graph6
 from domexc.graphs import cycle, path
@@ -347,6 +349,39 @@ def test_convert_edges(capsys):
     assert payload["input"] == {"source": "inline", "graphs": 1}
     r = payload["results"][0]
     assert r["order"] == 4 and len(r["edges"]) == 4
+
+
+def count_codec_calls(monkeypatch):
+    """Count graph6 parses through both import sites, and cli encodes."""
+    calls = {"from_graph6": 0, "to_graph6": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    for module in (domexc.graph6, domexc.cli):
+        monkeypatch.setattr(module, "from_graph6", counted("from_graph6", module.from_graph6))
+    monkeypatch.setattr(domexc.cli, "to_graph6", counted("to_graph6", domexc.cli.to_graph6))
+    return calls
+
+
+def test_convert_parses_and_encodes_each_graph_once(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "many.g6"
+    f.write_text("".join(to_graph6(path(n)) + "\n" for n in range(1, 8)))
+    calls = count_codec_calls(monkeypatch)
+    code, payload, _ = run_json(capsys, "convert", str(f))
+    assert code == 0 and payload["input"]["graphs"] == 7
+    assert calls == {"from_graph6": 7, "to_graph6": 7}
+
+
+def test_inline_argument_parsed_once(capsys, monkeypatch):
+    calls = count_codec_calls(monkeypatch)
+    code, payload, _ = run_json(capsys, "convert", "Cl")
+    assert code == 0 and payload["results"][0]["graph6"] == "Cl"
+    assert calls["from_graph6"] == 1
 
 
 def test_convert_bad_inline(capsys):

@@ -93,6 +93,27 @@ def test_family_not_excellent_is_empty():
     assert family_names(fam) == []
 
 
+@pytest.mark.parametrize(
+    "g", [edgeless(9), disjoint_union([cycle(5)] * 5)], ids=["E9", "5C5"]
+)
+def test_family_past_pattern_cap_raises_before_keying(monkeypatch, g):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return canonical_key(h)
+
+    monkeypatch.setattr("domexc.excellence.canonical_key", counted)
+    with pytest.raises(ValueError, match="pattern order 9 exceeds the cap 8"):
+        excellent_family(g, Param.GAMMA)
+    assert calls == []
+
+
+def test_family_past_pattern_cap_not_excellent_is_no_error():
+    fam = excellent_family(path(27), Param.GAMMA)
+    assert (fam.excellent, fam.value, fam.members) == (False, 9, ())
+
+
 def test_family_members_sorted_by_order_then_edges():
     fam = excellent_family(cycle(10), Param.GAMMA)
     sizes = [(k.n, k.graph().edge_count()) for k in fam.members]
