@@ -13,8 +13,22 @@ ties the best string gives an automorphism, the search unwinds to where
 the two orderings part, and a candidate is skipped when an automorphism
 fixing the placed prefix maps an explored sibling onto it. Swapping two
 unplaced twins is such an automorphism, known before the search starts.
-automorphisms hands these maps to the catalog generator. Trees of any
-supported order get an AHU-style key via tree_key instead.
+automorphisms hands these maps to the catalog generator.
+
+Isomorphism at every order up to 64 vertices is decided without keys, in
+the refine-then-match style of the same paper. Vertices start coloured
+by (degree, triangles at v, vertices at distance 2), and the colouring
+is refined by neighbour-colour multisets until no cell splits or every
+cell is one vertex. Colour ids are ranks of signatures, so the signature
+rounds hash to a label-free bucket key. Within a bucket a backtracking
+matcher maps vertices onto vertices of the same colour, with candidates
+kept as bitmasks, and proves or refutes isomorphism exactly. It stops
+after MATCH_BUDGET search nodes: up to CANON_CAP the lex-min keys then
+decide, and above it MatchBudgetError (a ValueError) is raised.
+ClassIndex keeps the first graph of each class this way for the
+catalogs, which key only the graphs they keep, and are_isomorphic runs
+the same two steps on a pair. Trees of any supported order also get an
+AHU-style key, tree_key.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from .graphs import Graph, iter_bits
 
 CANON_CAP = 12
 PATTERN_CAP = 8
+MATCH_BUDGET = 1 << 16  # matcher search nodes per pair
 
 
 @dataclass(frozen=True, order=True)
@@ -200,17 +215,166 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return perms
 
 
+class MatchBudgetError(ValueError):
+    """The matcher ran out of nodes on graphs too large for canonical_key."""
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A graph with its bucket key and refined vertex colours.
+
+    key is label-free: isomorphic graphs have equal keys, and an
+    isomorphism maps each vertex to one of the same colour. cells[c] is
+    the mask of the vertices of colour c.
+    """
+
+    g: Graph
+    key: int
+    colour: tuple[int, ...]
+    cells: tuple[int, ...]
+
+
+def _form(g: Graph) -> _Form:
+    """Colour g's vertices by refinement and key it by the rounds.
+
+    A vertex starts with the signature (degree, triangles at v, vertices
+    at distance 2). Each round its colour is the rank of its signature
+    among the distinct ones, so no colour depends on a label, and its next
+    signature is its colour with the sorted colours of its neighbours.
+    Refinement stops when a round splits no cell or every cell is a single
+    vertex. The key hashes every round's sorted signatures. It names a
+    bucket, not a class: graphs that share it may still differ, and a
+    hash collision only merges two buckets.
+    """
+    adj = g.adj
+    nbrs = [list(iter_bits(row)) for row in adj]
+    sigs = []
+    for v, row in enumerate(adj):
+        far = tri = 0
+        for u in nbrs[v]:
+            far |= adj[u]
+            tri += (adj[u] & row).bit_count()
+        sigs.append((len(nbrs[v]), tri // 2, (far & ~row & ~(1 << v)).bit_count()))
+    rounds = []
+    cells = 0
+    while True:
+        ranks = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        rounds.append(tuple(sorted(sigs)))
+        colour = [ranks[s] for s in sigs]
+        if len(ranks) == cells:
+            break
+        cells = len(ranks)
+        if cells == g.n:
+            break
+        sigs = [(c, tuple(sorted([colour[u] for u in around]))) for c, around in zip(colour, nbrs)]
+    masks = [0] * cells
+    for v, c in enumerate(colour):
+        masks[c] |= 1 << v
+    return _Form(g, hash(tuple(rounds)), tuple(colour), tuple(masks))
+
+
+def _match(a: _Form, b: _Form) -> bool:
+    """Exact test for a colour-preserving isomorphism from a.g onto b.g.
+
+    The forms must share a key and a cell count. Vertices of a.g are
+    placed in breadth-first order, each component from a vertex of its
+    smallest cell. A candidate image is an unused vertex of b.g of the same colour
+    whose adjacency to the used vertices is the image of the vertex's
+    adjacency to the placed ones: a bitmask test that checks adjacency
+    and non-adjacency at once. Raises MatchBudgetError after MATCH_BUDGET
+    search nodes.
+    """
+    n = a.g.n
+    adj = a.g.adj
+    order: list[int] = []
+    seen = 0
+    for root in sorted(range(n), key=lambda v: a.cells[a.colour[v]].bit_count()):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        d = len(order)
+        order.append(root)
+        while d < len(order):
+            fresh = adj[order[d]] & ~seen
+            seen |= fresh
+            order.extend(iter_bits(fresh))
+            d += 1
+    # back[d]: the neighbours of order[d] placed before it
+    back = []
+    placed = 0
+    for v in order:
+        back.append(list(iter_bits(adj[v] & placed)))
+        placed |= 1 << v
+    cell = [b.cells[a.colour[v]] for v in order]
+    adj_b = b.g.adj
+    image = [0] * n  # image[v]: the bit of v's image in b.g
+    nodes = 0
+
+    def place(d: int, used: int) -> bool:
+        nonlocal nodes
+        if d == n:
+            return True
+        nodes += 1
+        if nodes > MATCH_BUDGET:
+            raise MatchBudgetError(
+                f"isomorphism test on order {n} exceeded {MATCH_BUDGET} search nodes"
+            )
+        want = 0
+        for u in back[d]:
+            want |= image[u]
+        v = order[d]
+        cand = cell[d] & ~used
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if adj_b[low.bit_length() - 1] & used == want:
+                image[v] = low
+                if place(d + 1, used | low):
+                    return True
+        return False
+
+    return place(0, 0)
+
+
+def _isomorphic(a: _Form, b: _Form) -> bool:
+    """Exact isomorphism test; past the matcher's budget, compare lex-min keys."""
+    # after a hash collision the colourings need not even match in length
+    if a.key != b.key or len(a.cells) != len(b.cells):
+        return False
+    try:
+        return _match(a, b)
+    except MatchBudgetError:
+        if a.g.n > CANON_CAP:
+            raise
+        return canonical_key(a.g) == canonical_key(b.g)
+
+
+class ClassIndex:
+    """One graph per isomorphism class: the first graph added to it.
+
+    Graphs are bucketed by their _form key, and a new graph is compared
+    with _match only against the kept graphs of its bucket.
+    """
+
+    def __init__(self):
+        self.graphs: list[Graph] = []
+        self._buckets: dict[tuple, list[tuple[int, _Form]]] = {}
+
+    def add(self, g: Graph) -> int:
+        """Position of g's class in self.graphs; g is appended to start a new class."""
+        form = _form(g)
+        bucket = self._buckets.setdefault(form.key, [])
+        for pos, kept in bucket:
+            if _isomorphic(form, kept):
+                return pos
+        bucket.append((len(self.graphs), form))
+        self.graphs.append(g)
+        return len(self.graphs) - 1
+
+
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Isomorphism test via canonical keys (tree keys above order 12)."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    if g.n > CANON_CAP:
-        if g.is_tree() and h.is_tree():
-            return tree_key(g) == tree_key(h)
-        raise ValueError(f"isomorphism beyond order {CANON_CAP} is supported for trees only")
-    return canonical_key(g) == canonical_key(h)
+    """Exact isomorphism test at every order, by the invariant and the matcher."""
+    return _isomorphic(_form(g), _form(h))
 
 
 def induced_copies(g: Graph, pattern: Graph) -> list[int]:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canon import CANON_CAP, IsoKey, _find, automorphisms, canonical_key
+from .canon import CANON_CAP, ClassIndex, IsoKey, _find, automorphisms, canonical_key
 from .domination import PARAM_IDS, Param, ParameterUndefinedError, ParamResult, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6, triangle_bits
@@ -44,9 +44,17 @@ class Catalog:
         return iter(self.graphs)
 
 
-def _sorted_catalog(source: str, reps: dict[IsoKey, Graph], warnings=()) -> Catalog:
-    keys = sorted(reps)
-    return Catalog(source, tuple(reps[k] for k in keys), tuple(keys), tuple(warnings))
+def _sorted_catalog(source: str, graphs, warnings=()) -> Catalog:
+    """Catalog of isomorph-free graphs in key order; each graph is keyed once.
+
+    The key is canonical_key up to order CANON_CAP. Above it the key is
+    IsoKey(n, triangle_bits(g)) of the labelled adjacency, which only sorts.
+    """
+    keys = [canonical_key(g) if g.n <= CANON_CAP else IsoKey(g.n, triangle_bits(g)) for g in graphs]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return Catalog(
+        source, tuple(graphs[i] for i in order), tuple(keys[i] for i in order), tuple(warnings)
+    )
 
 
 def _orbit_minima(g: Graph) -> list[int]:
@@ -73,7 +81,7 @@ def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
 
     Grows order by order: each class on n vertices extends some class on
     n - 1 (delete any vertex), so attaching a new vertex to every smaller
-    representative in every way and deduplicating by canonical key is
+    representative in every way and deduplicating through a ClassIndex is
     exhaustive. Neighbourhoods that an automorphism of the representative
     maps onto a smaller one are skipped: they give a graph isomorphic to
     one built earlier from the same representative, so the first graph
@@ -81,16 +89,15 @@ def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
     """
     if not 1 <= n <= ALL_GRAPHS_CAP:
         raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
-    level = {canonical_key(edgeless(1)): edgeless(1)}
+    level = [edgeless(1)]
     for _ in range(n - 1):
-        grown: dict[IsoKey, Graph] = {}
-        for g in level.values():
+        index = ClassIndex()
+        for g in level:
             for nbrs in _orbit_minima(g):
-                h = g.with_vertex(nbrs)
-                grown.setdefault(canonical_key(h), h)
-        level = grown
+                index.add(g.with_vertex(nbrs))
+        level = index.graphs
     if connected_only:
-        level = {k: g for k, g in level.items() if g.is_connected()}
+        level = [g for g in level if g.is_connected()]
     src = f"generated:all:n={n}:connected={str(connected_only).lower()}"
     return _sorted_catalog(src, level)
 
@@ -115,15 +122,16 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
 
     Fills neighbor rows vertex by vertex. Vertices not yet wired are
     interchangeable whenever their decided columns agree, so each such
-    class only ever donates a prefix of its members; surviving symmetry
-    falls to a final canonical-key dedup. An Erdos-Gallai check prunes
-    branches whose residual degrees have no realization.
+    class only ever donates a prefix of its members. A ClassIndex keeps
+    the first graph completed in each isomorphism class, and only those
+    are keyed. An Erdos-Gallai check prunes branches whose residual
+    degrees have no realization.
     """
     if not 0 <= k < n <= REGULAR_CAP:
         raise ValueError(f"need 0 <= degree < order <= {REGULAR_CAP}")
     if n * k % 2:
         raise ValueError("order times degree must be even")
-    reps: dict[IsoKey, Graph] = {}
+    index = ClassIndex()
     rows = [0] * n
     res = [k] * n
 
@@ -131,7 +139,7 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
         if v == n:
             g = Graph(n, tuple(rows))
             if not connected_only or g.is_connected():
-                reps.setdefault(canonical_key(g), g)
+                index.add(g)
             return
         need = res[v]
         later = list(range(v + 1, n))
@@ -176,7 +184,7 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
 
     extend(0)
     src = f"generated:regular:n={n}:k={k}:connected={str(connected_only).lower()}"
-    return _sorted_catalog(src, reps)
+    return _sorted_catalog(src, index.graphs)
 
 
 def save_catalog(cat: Catalog, path) -> None:
@@ -194,30 +202,24 @@ def save_catalog(cat: Catalog, path) -> None:
 def load_catalog(path) -> Catalog:
     """Read a graph6 catalog file; duplicates are kept out but reported.
 
-    Up to order CANON_CAP a duplicate is a graph isomorphic to an earlier
-    line. Above it a graph g is keyed by IsoKey(n, triangle_bits(g)) of its
-    labelled adjacency, so only a line with the same labelled graph counts
-    as a duplicate, and isomorphic relabellings are all kept.
+    At every order a duplicate is a graph isomorphic to an earlier line,
+    found through a ClassIndex; the first line of each class is kept.
+    Above order CANON_CAP the catalog key of a kept graph is its labelled
+    IsoKey(n, triangle_bits(g)), which only sorts the lines.
     """
     p = Path(path)
-    reps: dict[IsoKey, Graph] = {}
-    first_line: dict[IsoKey, int] = {}
+    index = ClassIndex()
+    first_line: list[int] = []
     warnings = []
     for lineno, item in parse_lines(p.read_text()):
         if isinstance(item, Exception):
             raise type(item)(f"line {lineno}: {item}")
-        if item.n <= CANON_CAP:
-            key = canonical_key(item)
+        pos = index.add(item)
+        if pos < len(first_line):
+            warnings.append(f"line {lineno} duplicates line {first_line[pos]} up to isomorphism")
         else:
-            key = IsoKey(item.n, triangle_bits(item))
-        if key in reps:
-            warnings.append(
-                f"line {lineno} duplicates line {first_line[key]} up to isomorphism"
-            )
-            continue
-        reps[key] = item
-        first_line[key] = lineno
-    return _sorted_catalog(f"file:{p}", reps, warnings)
+            first_line.append(lineno)
+    return _sorted_catalog(f"file:{p}", index.graphs, warnings)
 
 
 @dataclass(frozen=True)

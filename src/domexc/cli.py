@@ -55,7 +55,8 @@ def _read_source(source: str) -> tuple[str, list]:
     """Resolve an input argument to (kind, entries) or raise Graph6Error.
 
     entries are parse_lines pairs, (line number, Graph or Graph6Error), and
-    workers receive these parsed graphs; an inline argument is one entry.
+    workers receive these parsed graphs; an inline argument is one entry,
+    stripped of surrounding whitespace as parse_lines strips a file line.
     """
     if source == "-":
         return "stdin", list(parse_lines(sys.stdin.read()))
@@ -63,7 +64,7 @@ def _read_source(source: str) -> tuple[str, list]:
         with open(source, encoding="ascii") as fh:
             return source, list(parse_lines(fh.read()))
     try:
-        return "inline", [(1, from_graph6(source))]
+        return "inline", [(1, from_graph6(source.strip()))]
     except Graph6Error:
         raise Graph6Error(f"no such file and not a graph6 string: {source!r}")
 

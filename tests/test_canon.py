@@ -1,14 +1,19 @@
 """Canonical keys, isomorphism, induced copies, tree keys."""
 
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import domexc.canon
 from domexc.canon import (
     CANON_CAP,
+    ClassIndex,
     IsoKey,
+    MatchBudgetError,
+    _form,
     are_isomorphic,
     automorphisms,
     canonical_key,
@@ -25,6 +30,7 @@ from domexc.graphs import (
     cycle,
     disjoint_union,
     edgeless,
+    from_edges,
     path,
 )
 from domexc.trees import enumerate_trees
@@ -110,6 +116,102 @@ def test_are_isomorphic():
     a = disjoint_union([cycle(3), cycle(3)])
     b = cycle(6)
     assert not are_isomorphic(a, b)
+
+
+def shrikhande():
+    """Cayley graph of Z4 x Z4 on the connection set +-(0,1), +-(1,0), +-(1,1)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    edges = [
+        (i, j)
+        for i, (a, b) in enumerate(cells)
+        for j, (c, d) in enumerate(cells)
+        if i < j and ((c - a) % 4, (d - b) % 4) in steps
+    ]
+    return from_edges(16, edges)
+
+
+def test_are_isomorphic_strongly_regular_pair():
+    # both srg(16, 6, 2, 2): refinement cannot split them, the matcher must
+    rook = cartesian_product(complete(4), complete(4))
+    shrik = shrikhande()
+    assert _form(rook).key == _form(shrik).key
+    assert not are_isomorphic(rook, shrik)
+    assert not are_isomorphic(shuffled(shrik, 7), rook)
+    assert are_isomorphic(rook, shuffled(rook, 3))
+    assert are_isomorphic(shrik, shuffled(shrik, 4))
+
+
+def test_are_isomorphic_beyond_canonical_cap():
+    rng = random.Random(13)
+    for n in range(13, 21):
+        g = random_graph(n, rng.getrandbits(n * (n - 1) // 2))
+        assert not g.is_tree()
+        assert are_isomorphic(g, shuffled(g, n))
+    big = random_graph(64, rng.getrandbits(64 * 63 // 2))
+    assert are_isomorphic(big, shuffled(big, 64))
+
+
+def test_are_isomorphic_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = random.Random(6)
+    pairs = [(cycle(12), disjoint_union([cycle(5), cycle(7)]))]
+    for _ in range(150):
+        n = rng.randint(5, 14)
+        g = random_graph(n, rng.getrandbits(n * (n - 1) // 2))
+        # a degree-preserving double-edge swap, if one applies, else a relabelling
+        h = g
+        for (a, b), (c, d) in combinations(g.edges(), 2):
+            if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(b, c):
+                rest = [e for e in g.edges() if e not in ((a, b), (c, d))]
+                h = from_edges(n, rest + [(a, d), (b, c)])
+                break
+        pairs.append((g, shuffled(h if rng.random() < 0.5 else g, rng.random())))
+    answers = set()
+    for g, h in pairs:
+        want = GraphMatcher(to_nx(g), to_nx(h)).is_isomorphic()
+        assert are_isomorphic(g, h) == want
+        answers.add(want)
+    assert answers == {True, False}
+
+
+def test_are_isomorphic_matches_canonical_keys_small_orders():
+    for n in range(1, 7):
+        graphs = list(generate_all_graphs(n))
+        keys = [canonical_key(g) for g in graphs]
+        relabelled = [shuffled(g, i) for i, g in enumerate(graphs)]
+        for g, kg in zip(graphs, keys):
+            for h, kh in zip(relabelled, keys):
+                assert are_isomorphic(g, h) == (kg == kh)
+
+
+def test_cycle_unions_share_a_bucket():
+    # 2-regular, no triangles, two vertices at distance 2: one bucket, three classes
+    parts = [[12], [6, 6], [5, 7]]
+    graphs = [disjoint_union([cycle(k) for k in p]) for p in parts]
+    assert len({_form(g).key for g in graphs}) == 1
+    index = ClassIndex()
+    for i, g in enumerate(graphs + [shuffled(g, 9) for g in graphs]):
+        assert index.add(g) == i % len(graphs)
+    assert index.graphs == graphs
+
+
+def test_match_budget(monkeypatch):
+    # past the budget, order <= CANON_CAP compares lex-min keys; above it, a typed error
+    monkeypatch.setattr(domexc.canon, "MATCH_BUDGET", 2)
+    assert are_isomorphic(cycle(12), shuffled(cycle(12), 1))
+    assert not are_isomorphic(cycle(12), disjoint_union([cycle(5), cycle(7)]))
+    with pytest.raises(MatchBudgetError, match="exceeded 2 search nodes"):
+        are_isomorphic(shrikhande(), cartesian_product(complete(4), complete(4)))
+    assert issubclass(MatchBudgetError, ValueError)
 
 
 def test_cap_enforced():

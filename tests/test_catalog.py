@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from domexc import catalog, excellence
-from domexc.canon import canonical_key
+from domexc.canon import IsoKey, canonical_key
 from domexc.catalog import (
     ALL_GRAPHS_CAP,
     Catalog,
@@ -21,8 +21,10 @@ from domexc.catalog import (
 )
 from domexc.domination import Param, ParameterUndefinedError, min_sets
 from domexc.excellence import is_excellent, is_pattern_excellent
-from domexc.graph6 import to_graph6
-from domexc.graphs import complete, cycle, path
+from domexc.graph6 import to_graph6, triangle_bits
+from domexc.graphs import Graph, complete, cycle, path
+
+from helpers import random_graph, shuffled
 
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
@@ -44,8 +46,9 @@ def test_all_graphs_isomorph_free():
 
 
 # sha256 of the graph6 lines `domexc gen` prints, recorded before the
-# generators skipped any extension; the first graph seen in each class
-# is the one kept, so a skip that changes it changes these bytes
+# generators skipped any extension (regular (10, 4), (10, 5) and (12, 3):
+# while they still keyed every labelled graph); the first graph seen in
+# each class is the one kept, so a skip that changes it changes these bytes
 CATALOG_SHA256 = {
     ("all", 1, False): "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
     ("all", 1, True): "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
@@ -61,6 +64,9 @@ CATALOG_SHA256 = {
     ("all", 6, True): "84ba795f972834084a7cb71c398177aa791d2c4ba5671785f74fb0fc0141c5ad",
     ("regular", 8, 3): "456603852cf561dfbbeb80134e488e813a29e851e8e2f474bc58f7cfdd888e0d",
     ("regular", 9, 4): "bb7b37297cc5a36b97e237da3ccad94a789ee50464161beb47f14be305afa2fc",
+    ("regular", 10, 4): "af12d708b047adb0ebc40434d234dfe05de419d4e215404a2e2a0da3434da239",
+    ("regular", 10, 5): "5f4f0e60a73355a4bedbd03327929003abe496990e72047258ad5dd1bdb95f67",
+    ("regular", 12, 3): "33c0c49664a449139b81f49300f02d65dcf3732a32c2ac4e4e48533715c6d19e",
 }
 
 
@@ -75,6 +81,26 @@ def test_catalog_bytes_pinned(spec):
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[spec]
 
 
+def test_all_graphs_match_networkx_atlas():
+    # the atlas lists every graph of order 0 to 7 once, in its own labelling
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, list[Graph]] = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        adj = [0] * n
+        for u, v in h.edges():
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        atlas.setdefault(n, []).append(Graph(n, tuple(adj)))
+    assert sum(map(len, atlas.values())) == 1253
+    for n in range(1, ALL_GRAPHS_CAP + 1):
+        for connected in (False, True):
+            want = [g for g in atlas[n] if not connected or g.is_connected()]
+            cat = generate_all_graphs(n, connected_only=connected)
+            assert len(cat) == len(want)
+            assert set(cat.keys) == {canonical_key(g) for g in want}
+
+
 def test_regular_counts():
     cases = {
         (4, 3): 1,
@@ -83,6 +109,8 @@ def test_regular_counts():
         (9, 4): 16,
         (10, 3): 21,
         (10, 5): 60,
+        (11, 4): 266,
+        (12, 3): 94,
     }
     for (n, k), want in cases.items():
         cat = generate_regular(n, k)
@@ -167,15 +195,31 @@ def test_load_skips_header(tmp_path):
 
 
 def test_load_beyond_canonical_cap(tmp_path):
-    # above order 12 only labeled identity dedups
+    # above order 12 a relabelling is a duplicate too, as below it
     a = path(13)
     b = a.relabel((1, 0) + tuple(range(2, 13)))
     assert b.adj != a.adj
     f = tmp_path / "big.g6"
     f.write_text(to_graph6(a) + "\n" + to_graph6(a) + "\n" + to_graph6(b) + "\n")
     cat = load_catalog(f)
-    assert len(cat) == 2
-    assert len(cat.warnings) == 1
+    assert cat.graphs == (a,)
+    assert cat.warnings == (
+        "line 2 duplicates line 1 up to isomorphism",
+        "line 3 duplicates line 1 up to isomorphism",
+    )
+
+
+def test_load_relabelled_pair_beyond_canonical_cap(tmp_path):
+    a = random_graph(13, 0x5D3C_9A61_7E42_B0F1_8C2D_35A9_E61F_07B4)
+    b = shuffled(a, 13)
+    c = a.complement()
+    assert not a.is_tree() and b.adj != a.adj
+    f = tmp_path / "big.g6"
+    f.write_text("".join(to_graph6(g) + "\n" for g in (a, c, b)))
+    cat = load_catalog(f)
+    assert len(cat) == 2 and a in cat.graphs and c in cat.graphs
+    assert cat.warnings == ("line 3 duplicates line 1 up to isomorphism",)
+    assert list(cat.keys) == sorted(IsoKey(13, triangle_bits(g)) for g in (a, c))
 
 
 def test_search_param_filter():

@@ -5,11 +5,12 @@ import json
 
 import pytest
 
+import domexc.canon
 import domexc.cli
 import domexc.graph6
 from domexc.cli import build_parser, main
 from domexc.graph6 import to_graph6
-from domexc.graphs import cycle, path
+from domexc.graphs import cartesian_product, complete, cycle, path
 
 
 def run(capsys, *argv):
@@ -387,3 +388,25 @@ def test_inline_argument_parsed_once(capsys, monkeypatch):
 def test_convert_bad_inline(capsys):
     code, _, err = run(capsys, "convert", "!!bad!!")
     assert code == 2 and "not a graph6 string" in err
+
+
+@pytest.mark.parametrize(
+    "command, raw",
+    [("convert", " Cl"), ("convert", "Cl "), ("analyze", "Cl\n"), ("analyze", "\tCl\n")],
+)
+def test_inline_argument_stripped_like_a_file_line(capsys, command, raw):
+    for output in ("json", "text"):
+        want = run(capsys, command, "Cl", "--output", output)
+        assert want[0] == 0
+        assert run(capsys, command, raw, "--output", output) == want
+
+
+def test_search_catalog_past_match_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # srg(16, 6, 2, 2) twice: one bucket, and no lex-min key to fall back on
+    monkeypatch.setattr(domexc.canon, "MATCH_BUDGET", 2)
+    rook = cartesian_product(complete(4), complete(4))
+    f = tmp_path / "big.g6"
+    f.write_text(to_graph6(rook) + "\n" + to_graph6(rook.relabel(tuple(range(15, -1, -1)))) + "\n")
+    code, out, err = run(capsys, "search", "--catalog", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: isomorphism test on order 16 exceeded 2 search nodes\n"
