@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .canon import CANON_CAP, ClassIndex, IsoKey, _find, automorphisms, canonical_key
@@ -76,26 +77,36 @@ def _orbit_minima(g: Graph) -> list[int]:
     return [mask for mask in range(size) if root[mask] == mask]
 
 
-def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
-    """Every graph of order n up to isomorphism.
+@lru_cache(maxsize=None)
+def _level(n: int) -> tuple[Graph, ...]:
+    """One representative per class of order n, first seen first.
 
-    Grows order by order: each class on n vertices extends some class on
-    n - 1 (delete any vertex), so attaching a new vertex to every smaller
-    representative in every way and deduplicating through a ClassIndex is
+    Each class on n vertices extends some class on n - 1 (delete any
+    vertex), so attaching a new vertex to every representative of the
+    level below in every way and deduplicating through a ClassIndex is
     exhaustive. Neighbourhoods that an automorphism of the representative
     maps onto a smaller one are skipped: they give a graph isomorphic to
     one built earlier from the same representative, so the first graph
-    seen in each class, the one kept, stays the same. Capped at order 7.
+    seen in each class, the one kept, stays the same. Each level is built
+    once per process, from the level below it.
+    """
+    if n == 1:
+        return (edgeless(1),)
+    index = ClassIndex()
+    for g in _level(n - 1):
+        for nbrs in _orbit_minima(g):
+            index.add(g.with_vertex(nbrs))
+    return tuple(index.graphs)
+
+
+def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
+    """Every graph of order n up to isomorphism, grown order by order.
+
+    Capped at order 7.
     """
     if not 1 <= n <= ALL_GRAPHS_CAP:
         raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
-    level = [edgeless(1)]
-    for _ in range(n - 1):
-        index = ClassIndex()
-        for g in level:
-            for nbrs in _orbit_minima(g):
-                index.add(g.with_vertex(nbrs))
-        level = index.graphs
+    level = _level(n)
     if connected_only:
         level = [g for g in level if g.is_connected()]
     src = f"generated:all:n={n}:connected={str(connected_only).lower()}"

@@ -80,10 +80,23 @@ def _pattern_graph(spec: str) -> Graph:
 
 def _emit(payload: dict, output: str, text_lines) -> None:
     if output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_lines([json.dumps(payload, indent=2, sort_keys=True)])
     else:
-        for line in text_lines(payload):
+        _print_lines(text_lines(payload))
+
+
+def _print_lines(lines) -> None:
+    """Print lines to stdout; a reader that closes early ends the output quietly."""
+    try:
+        for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes what is still buffered at exit, which
+        # would raise again; that text now goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _jobs(raw: str | None) -> int:
@@ -287,8 +300,7 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for g in graphs:
-        print(to_graph6(g))
+    _print_lines(to_graph6(g) for g in graphs)
     return 0
 
 

@@ -3,9 +3,14 @@
 Eight parameters are supported, and one search serves them all. For each
 target size a depth-first cover search branches on an uncovered vertex
 with the fewest covering options; once coverage saturates below the
-target the remaining slots are filled by explicit completion, so sets
-that are not minimal dominating sets (they exist for the restrained and
-outer-connected variants) are still found. The sizes are tried in turn
+target the remaining slots are filled, so sets that are not minimal
+dominating sets (they exist for the restrained and outer-connected
+variants) are still found. The restrained variants fill them by forcing:
+a vertex outside the set with no neighbour outside it must join, and
+until nothing is forced the search branches on the lowest free vertex,
+first in the set, then fixed outside; a set that reaches the target size
+this way is restrained. The outer-connected variants try every
+combination of the remaining vertices. The sizes are tried in turn
 and at the first feasible one every satisfying set is collected.
 Independent domination is closed-neighborhood domination plus
 independence: its search only adds vertices that are not yet covered,
@@ -147,7 +152,9 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     else:
         foot = [g.adj[v] | (1 << v) for v in range(g.n)]
     max_new = max((f.bit_count() for f in foot), default=0)
-    plain = not (param.restrained or param.outer_connected)
+    # the restrained parameters complete by forcing and never call accept
+    restrained = param.restrained
+    plain = not param.outer_connected
     # covered is the closed neighborhood of the set, so only uncovered
     # candidates keep it independent
     independent = param.independent
@@ -157,12 +164,42 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     def accept(mask: int) -> bool:
         return plain or _extra_ok(g, mask, param)
 
+    def force(s: int, out: int) -> bool:
+        # s dominates; out holds the vertices fixed outside the set. A
+        # vertex outside s with no neighbour outside s must join it, so
+        # once nothing is forced every outside vertex has an outside
+        # neighbour and s itself meets the restrained condition.
+        while True:
+            forced = 0
+            for v in iter_bits(full & ~s):
+                if not g.adj[v] & ~s:
+                    forced |= 1 << v
+            if not forced:
+                break
+            if forced & out:
+                return False
+            s |= forced
+        size = s.bit_count()
+        free = full & ~s & ~out
+        if size > k or size + free.bit_count() < k:
+            return False
+        if size == k:
+            results.add(s)
+            return True
+        low = free & -free
+        hit = force(s | low, out)
+        if hit and first_only:
+            return True
+        return force(s, out | low) or hit
+
     def dfs(s: int, covered: int) -> bool:
         if s in seen:
             return False
         seen.add(s)
         size = s.bit_count()
         if covered == full:
+            if restrained:
+                return force(s, 0)
             if size == k:
                 if accept(s):
                     results.add(s)

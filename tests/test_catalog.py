@@ -37,6 +37,26 @@ def test_all_graphs_counts():
         assert len(generate_all_graphs(n, connected_only=True)) == want
 
 
+def test_all_graphs_levels_built_once(monkeypatch):
+    # orders 1 to 7 in turn grow each representative of orders 1 to 6 once
+    grown = Counter()
+
+    def counted(g):
+        grown[g.n] += 1
+        return orbit_minima(g)
+
+    orbit_minima = catalog._orbit_minima
+    monkeypatch.setattr(catalog, "_orbit_minima", counted)
+    catalog._level.cache_clear()
+    try:
+        for n in range(1, ALL_GRAPHS_CAP + 1):
+            generate_all_graphs(n, connected_only=n % 2 == 0)
+            generate_all_graphs(n)
+    finally:
+        catalog._level.cache_clear()
+    assert [grown[n] for n in range(1, ALL_GRAPHS_CAP)] == ALL_COUNTS[:-1]
+
+
 def test_all_graphs_isomorph_free():
     cat = generate_all_graphs(5)
     assert len(set(cat.keys)) == len(cat)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import pytest
 
@@ -82,6 +83,40 @@ def test_convert_file_with_bad_line(tmp_path, capsys):
     code, out, _ = run(capsys, "convert", str(f), "--output", "text")
     assert code == 2
     assert out.splitlines() == ["C~", f"1: line 2: error: {rs[1]['error']}", "Bw"]
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["convert", "Cl"], 0),
+        (["convert", "MIXED", "--output", "text"], 2),
+        (["gen", "all", "4"], 0),
+    ],
+)
+def test_closed_pipe_keeps_the_exit_code(tmp_path, monkeypatch, argv, want):
+    f = tmp_path / "mixed.g6"
+    f.write_text("C~\n{oops\nBw\n")
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fd))
+        assert main([str(f) if a == "MIXED" else a for a in argv]) == want
+        # the descriptor now points at the null device, so the flush at exit is quiet
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

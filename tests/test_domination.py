@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from domexc.domination import (
     PARAM_IDS,
     Param,
     ParameterUndefinedError,
+    ParamResult,
     bound_checks,
     critical_split,
     is_edge_addition_critical,
@@ -24,6 +26,7 @@ from domexc.graph6 import to_graph6
 from domexc.graphs import (
     cartesian_product,
     complete,
+    complete_multipartite,
     cycle,
     disjoint_union,
     edgeless,
@@ -54,7 +57,7 @@ def test_oracle_all_orders_up_to_five():
                 oracle_agrees(g, pid)
 
 
-@pytest.mark.parametrize("pid", ["i", "beta0"])
+@pytest.mark.parametrize("pid", ["i", "beta0", "gamma_r", "gamma_tr"])
 def test_oracle_independent_domination_orders_six_and_seven(pid):
     for n in (6, 7):
         for g in generate_all_graphs(n):
@@ -131,6 +134,25 @@ def test_independent_domination_of_many_triangles():
     # one vertex per triangle, out of 3**21 maximal independent sets
     g = disjoint_union([complete(3)] * 21)
     assert param_value(g, Param.IND_DOM) == 21
+
+
+def test_restrained_completion_by_forcing():
+    # a leaf of a star has only the centre as a neighbour, so it is forced
+    # into any restrained set; in a triangle an outside vertex needs the
+    # other outside vertex, and open coverage already takes two per triangle
+    star = complete_multipartite([1, 20])
+    for par in (Param.RESTRAINED, Param.TOTAL_RESTRAINED):
+        res = min_sets(star, par)
+        assert (res.value, res.sets) == (21, (star.full_mask,))
+        assert param_value(star, par) == 21
+    triangles = disjoint_union([complete(3)] * 7)
+    one_each = tuple(sorted(sum(1 << (3 * t + v) for t, v in enumerate(pick))
+                            for pick in product(range(3), repeat=7)))
+    assert min_sets(triangles, Param.RESTRAINED) == ParamResult(Param.RESTRAINED, 7, one_each)
+    assert param_value(triangles, Param.RESTRAINED) == 7
+    res = min_sets(triangles, Param.TOTAL_RESTRAINED)
+    assert (res.value, res.sets) == (21, (triangles.full_mask,))
+    assert param_value(triangles, Param.TOTAL_RESTRAINED) == 21
 
 
 def test_total_undefined_with_isolates():
