@@ -7,8 +7,12 @@ each, the paper suite is the full registry, and long claims are skipped
 unless explicitly enabled. Reports are plain data with deterministic
 ordering, so identical runs serialize identically.
 
-The eight family claims are rows of FAMILY_TABLE (label, graph builder,
-parameter id, expected member names) read by one evaluator.
+Checks come in three shapes. The eight family claims are rows of
+FAMILY_TABLE (label, graph builder, parameter id, expected member names)
+read by one evaluator. A property checked over many graphs is a generator
+yielding one line per failing case; _failures reports it as expected [],
+computed those lines in order, ok when there are none. A value check
+returns the triple itself.
 """
 
 from __future__ import annotations
@@ -96,39 +100,39 @@ def _names(g: Graph, param: Param) -> list[str]:
     return family_names(excellent_family(g, param))
 
 
+def _failures(check: Callable) -> tuple[list, list[str], bool]:
+    """Run a check that yields one line per failing case."""
+    lines = list(check())
+    return [], lines, lines == []
+
+
 def _check_path_cycle_values():
-    bad = []
     for n in range(1, 22):
         want = ceil(n / 3)
         for par in (Param.GAMMA, Param.IND_DOM):
             got = param_value(path(n), par)
             if got != want:
-                bad.append(f"path {n} {par.id}: {got} != {want}")
+                yield f"path {n} {par.id}: {got} != {want}"
     for n in range(3, 22):
         got = param_value(cycle(n), Param.GAMMA)
         if got != ceil(n / 3):
-            bad.append(f"cycle {n} gamma: {got} != {ceil(n / 3)}")
-    return [], bad, bad == []
+            yield f"cycle {n} gamma: {got} != {ceil(n / 3)}"
 
 
 def _check_cycle_excellence():
-    bad = []
     for n in range(3, 22):
         for par in (Param.GAMMA, Param.IND_DOM):
             if not is_excellent(cycle(n), par):
-                bad.append(f"cycle {n} not excellent for {par.id}")
-    return [], bad, bad == []
+                yield f"cycle {n} not excellent for {par.id}"
 
 
 def _check_path_excellence():
-    bad = []
     for n in range(1, 22):
         want = n == 2 or n % 3 == 1
         for par in (Param.GAMMA, Param.IND_DOM):
             got = is_excellent(path(n), par)
             if got != want:
-                bad.append(f"path {n} {par.id}: excellent={got}, want {want}")
-    return [], bad, bad == []
+                yield f"path {n} {par.id}: excellent={got}, want {want}"
 
 
 def _complete_product(m: int, n: int) -> Graph:
@@ -245,7 +249,6 @@ def _edgeless_names(m: int) -> list[str]:
 
 
 def _check_edge_critical_pairs():
-    bad = []
     for n in range(2, 7):
         for g in _all_graphs(n):
             if g.edge_count() == n * (n - 1) // 2:
@@ -255,12 +258,10 @@ def _check_edge_critical_pairs():
             res = min_sets(g, Param.GAMMA)
             for pat in (edgeless(1), edgeless(2)):
                 if not is_pattern_excellent(g, pat, Param.GAMMA, result=res):
-                    bad.append(f"{to_graph6(g)} misses E{pat.n}")
-    return [], bad, bad == []
+                    yield f"{to_graph6(g)} misses E{pat.n}"
 
 
 def _check_independence_equals_domination():
-    bad = []
     for n in range(1, 7):
         for g in _all_graphs(n):
             s = param_value(g, Param.INDEPENDENCE)
@@ -269,14 +270,12 @@ def _check_independence_equals_domination():
             want = _edgeless_names(s)
             gam = _names(g, Param.GAMMA)
             if [m for m in gam if m in want] != want:
-                bad.append(f"n={n} gamma family misses an edgeless member")
+                yield f"n={n} gamma family misses an edgeless member"
             if _names(g, Param.IND_DOM) != want or _names(g, Param.INDEPENDENCE) != want:
-                bad.append(f"n={n} independence families differ from edgeless run")
-    return [], bad, bad == []
+                yield f"n={n} independence families differ from edgeless run"
 
 
 def _check_no_path3_at_three():
-    bad = []
     p3 = path(3)
     for n in range(1, 8):
         for g in _all_graphs(n):
@@ -284,8 +283,7 @@ def _check_no_path3_at_three():
             if res.value != 3:
                 continue
             if is_pattern_excellent(g, p3, Param.GAMMA, result=res):
-                bad.append(to_graph6(g))
-    return [], bad, bad == []
+                yield to_graph6(g)
 
 
 PRODUCT_PAIRS = [
@@ -303,13 +301,11 @@ PRODUCT_PAIRS = [
 
 
 def _check_product_lower_bound():
-    bad = []
     for a, b in PRODUCT_PAIRS:
         g = cartesian_product(a, b)
         for chk in bound_checks(g, factors=(a, b)):
             if chk.name == "product-lower" and chk.applicable and not chk.holds:
-                bad.append(f"orders ({a.n},{b.n}): {chk.detail}")
-    return [], bad, bad == []
+                yield f"orders ({a.n},{b.n}): {chk.detail}"
 
 
 def _check_complete_cycle_product():
@@ -333,7 +329,6 @@ def _family_signature(g: Graph, par: Param):
 
 
 def _check_lex_six_families():
-    bad = []
     split_cases = [
         ("P2[C4,C4]", lex_product(path(2), [cycle(4), cycle(4)])),
         ("P3[P3,C4,P3]", lex_product(path(3), [path(3), cycle(4), path(3)])),
@@ -342,7 +337,7 @@ def _check_lex_six_families():
         for chain in (PLAIN_CHAIN, TOTAL_CHAIN):
             sigs = [_family_signature(g, par) for par in chain]
             if len(set(map(str, sigs))) != 1:
-                bad.append(f"{label}: {'/'.join(p.id for p in chain)} differ")
+                yield f"{label}: {'/'.join(p.id for p in chain)} differ"
     full_cases = [
         ("P2[P7,P7]", lex_product(path(2), [path(7), path(7)])),
         ("P3[P7,P7,P7]", lex_product(path(3), [path(7), path(7), path(7)])),
@@ -350,12 +345,10 @@ def _check_lex_six_families():
     for label, g in full_cases:
         sigs = [_family_signature(g, par) for par in PLAIN_CHAIN + TOTAL_CHAIN]
         if len(set(map(str, sigs))) != 1:
-            bad.append(f"{label}: six families differ")
-    return [], bad, bad == []
+            yield f"{label}: six families differ"
 
 
 def _check_lex_complete_fibers():
-    bad = []
     cases = [
         ("P3", path(3), [complete(2), complete(3), complete(2)]),
         ("P4", path(4), [complete(2), complete(3), complete(2), complete(3)]),
@@ -367,20 +360,17 @@ def _check_lex_complete_fibers():
             lhs = is_pattern_excellent(prod, edgeless(s), Param.GAMMA)
             rhs = is_pattern_excellent(base, edgeless(s), Param.GAMMA)
             if lhs != rhs:
-                bad.append(f"{label} s={s}: product {lhs} vs base {rhs}")
-    return [], bad, bad == []
+                yield f"{label} s={s}: product {lhs} vs base {rhs}"
 
 
 def _check_degree_ratio_bound():
-    bad = []
     pools = [list(_regular(10, 5)), list(_regular(9, 4)), list(_regular(8, 3))]
     pools.append([g for g in _all_graphs(7) if g.min_degree() >= 3])
     for pool in pools:
         for g in pool:
             for chk in bound_checks(g):
                 if chk.applicable and not chk.holds:
-                    bad.append(f"{to_graph6(g)}: {chk.name}")
-    return [], bad, bad == []
+                    yield f"{to_graph6(g)}: {chk.name}"
 
 
 def _check_five_regular_order_ten():
@@ -417,26 +407,22 @@ def _check_four_regular_nine_product():
 
 
 def _check_regular_order_bound():
-    bad = []
     for n, k in [(9, 4), (8, 3), (10, 4)]:
         for h in _pattern_hits(_regular(n, k), complete(3)):
             if not h.graph.is_connected() or h.values.get("gamma") != 3:
                 continue
             if h.graph.n > 3 * (k - 1):
-                bad.append(f"({n},{k}): triangle-excellent hit above the order bound")
-    return [], bad, bad == []
+                yield f"({n},{k}): triangle-excellent hit above the order bound"
 
 
 def _check_glued_cycles():
-    bad = []
     for u, v in [(0, 0), (2, 5), (3, 1)]:
         g = coalescence([(cycle(7), u), (cycle(7), v)]).graph
         res = min_sets(g, Param.GAMMA)
         if res.value != 5:
-            bad.append(f"glue ({u},{v}): gamma {res.value} != 5")
+            yield f"glue ({u},{v}): gamma {res.value} != 5"
         if not is_pattern_excellent(g, complete(2), Param.GAMMA, result=res):
-            bad.append(f"glue ({u},{v}): not edge-excellent")
-    return [], bad, bad == []
+            yield f"glue ({u},{v}): not edge-excellent"
 
 
 COALESCENCE_CASES = [
@@ -451,7 +437,6 @@ COALESCENCE_CASES = [
 
 
 def _check_coalescence_critical():
-    bad = []
     for f, x, h, y in COALESCENCE_CASES:
         merged = coalescence([(f, x), (h, y)])
         g = merged.graph
@@ -459,16 +444,14 @@ def _check_coalescence_critical():
         in_h = bool(critical_split(h, Param.GAMMA)[0] >> y & 1)
         in_g = bool(critical_split(g, Param.GAMMA)[0] >> merged.glued & 1)
         if in_g != (in_f and in_h):
-            bad.append(f"{f.n}@{x}+{h.n}@{y}: critical {in_g} vs parts {in_f}&{in_h}")
+            yield f"{f.n}@{x}+{h.n}@{y}: critical {in_g} vs parts {in_f}&{in_h}"
         if in_g:
             total = param_value(f, Param.GAMMA) + param_value(h, Param.GAMMA) - 1
             if param_value(g, Param.GAMMA) != total:
-                bad.append(f"{f.n}@{x}+{h.n}@{y}: additivity broken")
-    return [], bad, bad == []
+                yield f"{f.n}@{x}+{h.n}@{y}: additivity broken"
 
 
 def _check_coalescence_closure():
-    bad = []
     cases = [
         ([cycle(7), cycle(10)], complete(2)),
         ([cycle(4), cycle(7)], edgeless(1)),
@@ -480,33 +463,29 @@ def _check_coalescence_closure():
         res = min_sets(g, Param.GAMMA)
         want = sum(param_value(p, Param.GAMMA) for p in parts) - len(parts) + 1
         if res.value != want:
-            bad.append(f"{label}: gamma {res.value} != {want}")
+            yield f"{label}: gamma {res.value} != {want}"
         if not is_pattern_excellent(g, pattern, Param.GAMMA, result=res):
-            bad.append(f"{label}: pattern excellence lost")
-    return [], bad, bad == []
+            yield f"{label}: pattern excellence lost"
 
 
 def _check_tree_labeling():
-    bad = []
     for n in range(4, 13):
         for t in enumerate_trees(n):
             lab = excellent_tree_labeling(t)
             if (lab is not None) != is_excellent(t, Param.GAMMA):
-                bad.append(f"order {n}: labeling presence disagrees with excellence")
+                yield f"order {n}: labeling presence disagrees with excellence"
                 continue
             if lab is None:
                 continue
             if not satisfies(t, lab.zeros, Param.GAMMA):
-                bad.append(f"order {n}: zero labels are not a dominating set")
+                yield f"order {n}: zero labels are not a dominating set"
             if lab.zeros.bit_count() != param_value(t, Param.GAMMA):
-                bad.append(f"order {n}: zero labels are not optimal")
+                yield f"order {n}: zero labels are not optimal"
             if leaves_mask(t) & lab.ones:
-                bad.append(f"order {n}: a leaf carries label one")
-    return [], bad, bad == []
+                yield f"order {n}: a leaf carries label one"
 
 
 def _check_tree_families():
-    bad = []
     for n in range(4, 13):
         for t in enumerate_trees(n):
             res = min_sets(t, Param.GAMMA)
@@ -514,12 +493,10 @@ def _check_tree_families():
                 continue
             fam = excellent_family(t, Param.GAMMA, result=res)
             if fam.members != tree_family_prediction(t):
-                bad.append(f"{to_graph6(t)}: family differs from prediction")
-    return [], bad, bad == []
+                yield f"{to_graph6(t)}: family differs from prediction"
 
 
 def _check_bridge_pairs():
-    bad = []
     for n in range(2, 11):
         for t in enumerate_trees(n):
             res = min_sets(t, Param.GAMMA)
@@ -528,13 +505,12 @@ def _check_bridge_pairs():
                 nbrs = list(set_of(t.adj[x]))
                 for d in res.sets:
                     if d >> x & 1 and t.adj[x] & d:
-                        bad.append(f"order {n}: optimal set holds a critical vertex and neighbor")
+                        yield f"order {n}: optimal set holds a critical vertex and neighbor"
                 for i, y in enumerate(nbrs):
                     for z in nbrs[i + 1 :]:
                         pair = 1 << y | 1 << z
                         if any(d & pair == pair for d in res.sets):
-                            bad.append(f"order {n}: optimal set holds both bridge partners")
-    return [], bad, bad == []
+                            yield f"order {n}: optimal set holds both bridge partners"
 
 
 def _check_five_regular_twelve_search():
@@ -550,9 +526,9 @@ def _check_five_regular_twelve_search():
 
 
 CLAIMS = [
-    Claim("path-cycle-values", "path and cycle domination values", True, False, _check_path_cycle_values),
-    Claim("cycle-excellence", "cycles are excellent at every order", True, False, _check_cycle_excellence),
-    Claim("path-excellence", "paths are excellent exactly at 2 and 1 mod 3", True, False, _check_path_excellence),
+    Claim("path-cycle-values", "path and cycle domination values", True, False, partial(_failures, _check_path_cycle_values)),
+    Claim("cycle-excellence", "cycles are excellent at every order", True, False, partial(_failures, _check_cycle_excellence)),
+    Claim("path-excellence", "paths are excellent exactly at 2 and 1 mod 3", True, False, partial(_failures, _check_path_excellence)),
     Claim("path-families", "path excellent families", True, False, partial(_check_family_table, "path-families")),
     Claim("cycle-families-domination", "cycle families under domination", True, False, partial(_check_family_table, "cycle-families-domination")),
     Claim("cycle-families-independent", "cycle families under independent domination", True, False, partial(_check_family_table, "cycle-families-independent")),
@@ -561,25 +537,25 @@ CLAIMS = [
     Claim("complement-product-families-base", "complement product families, base cases", True, False, partial(_check_family_table, "complement-product-families-base")),
     Claim("complement-product-families-extended", "complement product families, wider cases", False, False, partial(_check_family_table, "complement-product-families-extended")),
     Claim("multipartite-families", "complete multipartite families at domination two", True, False, partial(_check_family_table, "multipartite-families")),
-    Claim("edge-critical-pairs", "edge-addition-critical graphs hold nonadjacent pairs", False, False, _check_edge_critical_pairs),
-    Claim("independence-equals-domination", "independence equals domination forces edgeless families", False, False, _check_independence_equals_domination),
-    Claim("no-path3-at-three", "no three-vertex-path excellence at domination three", False, False, _check_no_path3_at_three),
-    Claim("product-lower-bound", "product domination at least the smaller order", True, False, _check_product_lower_bound),
+    Claim("edge-critical-pairs", "edge-addition-critical graphs hold nonadjacent pairs", False, False, partial(_failures, _check_edge_critical_pairs)),
+    Claim("independence-equals-domination", "independence equals domination forces edgeless families", False, False, partial(_failures, _check_independence_equals_domination)),
+    Claim("no-path3-at-three", "no three-vertex-path excellence at domination three", False, False, partial(_failures, _check_no_path3_at_three)),
+    Claim("product-lower-bound", "product domination at least the smaller order", True, False, partial(_failures, _check_product_lower_bound)),
     Claim("complete-cycle-product", "complete-by-cycle product layer excellence", True, False, _check_complete_cycle_product),
-    Claim("lex-six-families", "layered products align six parameter families", False, False, _check_lex_six_families),
-    Claim("lex-complete-fibers", "complete-fiber products preserve edgeless excellence", True, False, _check_lex_complete_fibers),
-    Claim("degree-ratio-bound", "domination under the degree ratio bound", False, False, _check_degree_ratio_bound),
+    Claim("lex-six-families", "layered products align six parameter families", False, False, partial(_failures, _check_lex_six_families)),
+    Claim("lex-complete-fibers", "complete-fiber products preserve edgeless excellence", True, False, partial(_failures, _check_lex_complete_fibers)),
+    Claim("degree-ratio-bound", "domination under the degree ratio bound", False, False, partial(_failures, _check_degree_ratio_bound)),
     Claim("five-regular-order-ten", "five-regular order ten all dominate with two", False, False, _check_five_regular_order_ten),
     Claim("four-regular-nine-count", "four-regular order nine class count", True, False, _check_four_regular_nine_count),
     Claim("four-regular-nine-survey", "triangle-excellent four-regular order nine survey", False, False, _check_four_regular_nine_survey),
     Claim("four-regular-nine-product", "rook-product occurrence in the order nine survey", False, False, _check_four_regular_nine_product),
-    Claim("regular-order-bound", "order bound for triangle-excellent regular graphs", False, False, _check_regular_order_bound),
-    Claim("glued-cycles", "two glued seven-cycles stay edge-excellent", True, False, _check_glued_cycles),
-    Claim("coalescence-critical", "criticality of the glue vertex matches both parts", False, False, _check_coalescence_critical),
-    Claim("coalescence-closure", "gluing at a critical vertex keeps pattern excellence", False, False, _check_coalescence_closure),
-    Claim("tree-labeling", "excellent trees carry the criticality labeling", False, False, _check_tree_labeling),
-    Claim("tree-families", "tree families match the closed form", False, False, _check_tree_families),
-    Claim("bridge-pairs", "optimal sets avoid bridge partners of critical vertices", False, False, _check_bridge_pairs),
+    Claim("regular-order-bound", "order bound for triangle-excellent regular graphs", False, False, partial(_failures, _check_regular_order_bound)),
+    Claim("glued-cycles", "two glued seven-cycles stay edge-excellent", True, False, partial(_failures, _check_glued_cycles)),
+    Claim("coalescence-critical", "criticality of the glue vertex matches both parts", False, False, partial(_failures, _check_coalescence_critical)),
+    Claim("coalescence-closure", "gluing at a critical vertex keeps pattern excellence", False, False, partial(_failures, _check_coalescence_closure)),
+    Claim("tree-labeling", "excellent trees carry the criticality labeling", False, False, partial(_failures, _check_tree_labeling)),
+    Claim("tree-families", "tree families match the closed form", False, False, partial(_failures, _check_tree_families)),
+    Claim("bridge-pairs", "optimal sets avoid bridge partners of critical vertices", False, False, partial(_failures, _check_bridge_pairs)),
     Claim("five-regular-twelve-search", "five-regular order twelve triangle-excellent search", False, True, _check_five_regular_twelve_search),
 ]
 

@@ -323,7 +323,10 @@ def cmd_search(args) -> int:
         values = {}
         for clause in args.where or []:
             pid, _, raw = clause.partition("=")
-            values[pid] = int(raw)
+            try:
+                values[pid] = int(raw)
+            except ValueError:
+                raise ValueError(f"bad --where clause {clause!r}; use PARAM=VALUE") from None
         query = CatalogQuery(
             param_values=values,
             excellent_for=args.excellent,

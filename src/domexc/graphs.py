@@ -8,8 +8,7 @@ Graphs are immutable; every editing operation returns a new Graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 CAPACITY = 64
 
@@ -188,8 +187,6 @@ class Graph:
 
     def with_vertex(self, nbr_mask: int) -> "Graph":
         """Append vertex n adjacent to nbr_mask."""
-        if self.n + 1 > CAPACITY:
-            raise CapacityError("vertex append exceeds capacity")
         if nbr_mask & ~self.full_mask:
             raise ValueError("neighbor mask outside existing vertices")
         rows = [row | ((nbr_mask >> v & 1) << self.n) for v, row in enumerate(self.adj)]
@@ -254,8 +251,6 @@ def complete_multipartite(sizes) -> Graph:
     if any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     n = sum(sizes)
-    if n > CAPACITY:
-        raise CapacityError(f"order {n} exceeds capacity")
     part_masks = []
     at = 0
     for s in sizes:
@@ -273,8 +268,6 @@ def disjoint_union(parts) -> Graph:
     """Vertices of each part occupy consecutive index blocks in input order."""
     parts = list(parts)
     n = sum(g.n for g in parts)
-    if n > CAPACITY:
-        raise CapacityError(f"order {n} exceeds capacity")
     rows = []
     at = 0
     for g in parts:
@@ -285,8 +278,6 @@ def disjoint_union(parts) -> Graph:
 
 def corona1(g: Graph) -> Graph:
     """Attach one pendant leaf to every vertex; leaf for v gets index n + v."""
-    if 2 * g.n > CAPACITY:
-        raise CapacityError("corona exceeds capacity")
     n = g.n
     rows = [g.adj[v] | (1 << (n + v)) for v in range(n)]
     rows.extend(1 << v for v in range(n))
@@ -296,8 +287,6 @@ def corona1(g: Graph) -> Graph:
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product; pair (i, j) receives index i * h.n + j."""
     n = g.n * h.n
-    if n > CAPACITY:
-        raise CapacityError(f"product order {n} exceeds capacity")
     rows = []
     for i in range(g.n):
         for j in range(h.n):
@@ -334,8 +323,6 @@ def lex_product(base: Graph, fibers) -> Graph:
     for f in fibers:
         offsets.append(at)
         at += f.n
-    if at > CAPACITY:
-        raise CapacityError(f"product order {at} exceeds capacity")
     fiber_masks = [((1 << f.n) - 1) << off for f, off in zip(fibers, offsets)]
     rows = []
     for i, f in enumerate(fibers):
@@ -374,8 +361,6 @@ def coalescence(parts) -> Coalescence:
     if len(parts) < 2:
         raise ValueError("coalescence needs at least two parts")
     n = 1 + sum(g.n - 1 for g, _ in parts)
-    if n > CAPACITY:
-        raise CapacityError(f"coalescence order {n} exceeds capacity")
     maps = []
     at = 1
     for g, v in parts:

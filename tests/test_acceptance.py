@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from domexc.canon import are_isomorphic, canonical_key
+from domexc.canon import are_isomorphic
 from domexc.catalog import generate_all_graphs, generate_regular
 from domexc.claims import run_claim
 from domexc.domination import (

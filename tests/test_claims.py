@@ -2,11 +2,11 @@
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
-from domexc import claims
-from domexc.claims import ClaimReport, claim_ids, run_claim, run_suite
+from domexc.claims import Claim, ClaimReport, _failures, claim_ids, run_claim, run_suite
 from domexc.domination import ParamResult
 
 
@@ -89,8 +89,8 @@ def test_suite_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_mutated_solver_is_caught(monkeypatch):
-    # a solver that inflates every value must break the quick suite
+def inflate_solver(monkeypatch):
+    """Make every solved parameter value one too large."""
     import domexc.domination as dom
 
     real = dom._solve
@@ -100,5 +100,49 @@ def test_mutated_solver_is_caught(monkeypatch):
         return ParamResult(res.param, res.value + 1, res.sets)
 
     monkeypatch.setattr(dom, "_solve", inflated)
+
+
+def test_mutated_solver_is_caught(monkeypatch):
+    # a solver that inflates every value must break the quick suite
+    inflate_solver(monkeypatch)
     reports = run_suite("quick")
     assert any(r.status == "fail" for r in reports)
+
+
+def test_failures_report(monkeypatch):
+    def two():
+        yield "first"
+        yield "second"
+
+    def none():
+        yield from ()
+
+    rows = [
+        Claim("stub-fail", "stub", True, False, partial(_failures, two)),
+        Claim("stub-pass", "stub", True, False, partial(_failures, none)),
+    ]
+    monkeypatch.setattr("domexc.claims._BY_ID", {c.claim_id: c for c in rows})
+    bad, good = run_claim("stub-fail"), run_claim("stub-pass")
+    assert (bad.status, bad.expected, bad.computed) == ("fail", [], ["first", "second"])
+    assert (good.status, good.expected, good.computed) == ("pass", [], [])
+
+
+MUTATION_CLAIMS = {
+    "path-cycle-values": 61,
+    "independence-equals-domination": 140,
+    "glued-cycles": 3,
+    "coalescence-critical": 4,
+    "coalescence-closure": 3,
+}
+
+
+def test_failure_lines_pinned(monkeypatch):
+    # every failure line, in order, under the inflated solver; the digest was
+    # recorded while each of these checks still built its own failure list
+    inflate_solver(monkeypatch)
+    reports = [run_claim(cid).to_json() for cid in MUTATION_CLAIMS]
+    assert [len(r["computed"]) for r in reports] == list(MUTATION_CLAIMS.values())
+    assert all(r["status"] == "fail" and r["expected"] == [] for r in reports)
+    blob = json.dumps(reports, sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == "85544351671840138aae894de7cc806ecb3d659d1a25426cd1d98fbf5647466e"

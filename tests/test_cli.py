@@ -366,8 +366,10 @@ def test_search_errors(capsys):
     assert code == 2 and "needs --catalog" in err
     code, _, err = run(capsys, "search", "--gen", "all:4", "--where", "gamma2=1")
     assert code == 2 and "gamma2" in err
-    code, _, err = run(capsys, "search", "--gen", "all:4", "--where", "gamma=x")
-    assert code == 2
+    for clause in ("gamma=x", "gamma"):
+        code, _, err = run(capsys, "search", "--gen", "all:4", "--where", clause)
+        assert code == 2
+        assert err == f"error: bad --where clause '{clause}'; use PARAM=VALUE\n"
 
 
 def test_convert_canonical_idempotent(capsys):

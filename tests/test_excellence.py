@@ -25,7 +25,7 @@ from domexc.graphs import (
     path,
 )
 from helpers import random_graph
-from oracles import brute, brute_copies, brute_excellent
+from oracles import brute_copies, brute_excellent
 
 
 def test_is_excellent_basics():

@@ -58,6 +58,41 @@ def test_capacity_cap():
     assert edgeless(64).n == 64
 
 
+# builder -> (a build of order 65, a build of order 64); Graph itself enforces the cap
+CAPACITY_BUILDS = {
+    "with_vertex": (lambda: edgeless(64).with_vertex(1), lambda: edgeless(63).with_vertex(1)),
+    "complete_multipartite": (
+        lambda: complete_multipartite([32, 33]),
+        lambda: complete_multipartite([32, 32]),
+    ),
+    "disjoint_union": (
+        lambda: disjoint_union([cycle(32), cycle(33)]),
+        lambda: disjoint_union([cycle(32), cycle(32)]),
+    ),
+    "corona1": (lambda: corona1(path(33)), lambda: corona1(path(32))),
+    "cartesian_product": (
+        lambda: cartesian_product(complete(5), complete(13)),
+        lambda: cartesian_product(path(8), cycle(8)),
+    ),
+    "lex_product": (
+        lambda: lex_product(path(2), [edgeless(32), edgeless(33)]),
+        lambda: lex_product(path(2), [edgeless(32), edgeless(32)]),
+    ),
+    "coalescence": (
+        lambda: coalescence([(cycle(33), 0), (cycle(33), 0)]).graph,
+        lambda: coalescence([(cycle(33), 0), (cycle(32), 0)]).graph,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CAPACITY_BUILDS))
+def test_builders_capacity(name):
+    over, at_cap = CAPACITY_BUILDS[name]
+    with pytest.raises(CapacityError):
+        over()
+    assert at_cap().n == 64
+
+
 def test_adjacency_symmetry_invariant():
     g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     for u in range(4):
