@@ -2,16 +2,20 @@
 
 Eight parameters are supported, and one search serves them all. For each
 target size a depth-first cover search branches on an uncovered vertex
-with the fewest covering options; once coverage saturates below the
-target the remaining slots are filled, so sets that are not minimal
-dominating sets (they exist for the restrained and outer-connected
-variants) are still found. The restrained variants fill them by forcing:
-a vertex outside the set with no neighbour outside it must join, and
-until nothing is forced the search branches on the lowest free vertex,
-first in the set, then fixed outside; a set that reaches the target size
-this way is restrained. The outer-connected variants try every
-combination of the remaining vertices. The sizes are tried in turn
-and at the first feasible one every satisfying set is collected.
+with the fewest covering options. Every node carries a banned mask: the
+vertices its earlier siblings already tried, which it never adds. So the
+children split their parent's sets, every set is reached along exactly
+one path, and no memo of visited sets is kept. Once coverage saturates
+below the target the search branches on each unbanned vertex outside the
+set, so sets that are not minimal dominating sets (they exist for the
+restrained and outer-connected variants) are still found, each once. The
+restrained variants also force at every node: a vertex outside the set
+whose neighbours all lie in it must join, and when it is banned the
+branch ends; a set that reaches the target size with nothing forced is
+restrained. An outer-connected set that leaves two or more vertices
+outside is restrained too, so those sizes force the same way. The sizes
+are tried in turn and at the first feasible one every satisfying set is
+collected.
 Independent domination is closed-neighborhood domination plus
 independence: its search only adds vertices that are not yet covered,
 so every partial set stays independent. The maximum independent sets are
@@ -24,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits
 
 
 class ParameterUndefinedError(ValueError):
@@ -142,108 +145,86 @@ def satisfies(g: Graph, mask: int, param: Param) -> bool:
 def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     """All (or any) sets of size exactly k satisfying param's predicate.
 
-    For independent parameters a partial set that already dominates is a
-    maximal independent set, so it is never completed: it is a hit only
-    when its size is k.
+    Each call carries a banned mask: the vertices its earlier siblings
+    already tried, which it never adds, whether it branches on the
+    options of an uncovered vertex or, once the set dominates, on the
+    vertices outside it. Child u of a node holds the sets that contain u
+    and none of the siblings before it, so the children split their
+    parent's sets and every set is reached along one path. Forcing keeps
+    the split: a forced vertex lies in every set below the node, and a
+    forced banned vertex leaves the node no sets at all. For independent
+    parameters a partial set that already dominates is a maximal
+    independent set, so it is never completed: it is a hit only when its
+    size is k.
     """
-    full = g.full_mask
+    full, adj = g.full_mask, g.adj
     if param.open_cover:
-        foot = list(g.adj)
+        foot = list(adj)
     else:
-        foot = [g.adj[v] | (1 << v) for v in range(g.n)]
+        foot = [adj[v] | (1 << v) for v in range(g.n)]
     max_new = max((f.bit_count() for f in foot), default=0)
-    # the restrained parameters complete by forcing and never call accept
-    restrained = param.restrained
+    # a connected outside of two or more vertices gives each outside vertex
+    # an outside neighbour, so those outer-connected sets force as well
+    forcing = param.restrained or (param.outer_connected and k <= g.n - 2)
     plain = not param.outer_connected
     # covered is the closed neighborhood of the set, so only uncovered
     # candidates keep it independent
     independent = param.independent
-    results: set[int] = set()
-    seen: set[int] = set()
+    results: list[int] = []
 
-    def accept(mask: int) -> bool:
-        return plain or _extra_ok(g, mask, param)
-
-    def force(s: int, out: int) -> bool:
-        # s dominates; out holds the vertices fixed outside the set. A
-        # vertex outside s with no neighbour outside s must join it, so
-        # once nothing is forced every outside vertex has an outside
-        # neighbour and s itself meets the restrained condition.
-        while True:
+    def dfs(s: int, covered: int, banned: int) -> bool:
+        # an outside vertex whose neighbours all lie in the set has no
+        # outside neighbour, so a restrained superset must take it
+        while forcing:
             forced = 0
             for v in iter_bits(full & ~s):
-                if not g.adj[v] & ~s:
+                if not adj[v] & ~s:
                     forced |= 1 << v
             if not forced:
                 break
-            if forced & out:
+            if forced & banned:
                 return False
             s |= forced
+            for v in iter_bits(forced):
+                covered |= foot[v]
         size = s.bit_count()
-        free = full & ~s & ~out
-        if size > k or size + free.bit_count() < k:
-            return False
-        if size == k:
-            results.add(s)
-            return True
-        low = free & -free
-        hit = force(s | low, out)
-        if hit and first_only:
-            return True
-        return force(s, out | low) or hit
-
-    def dfs(s: int, covered: int) -> bool:
-        if s in seen:
-            return False
-        seen.add(s)
-        size = s.bit_count()
-        if covered == full:
-            if restrained:
-                return force(s, 0)
-            if size == k:
-                if accept(s):
-                    results.add(s)
-                    return True
+        if size >= k:
+            if size > k or covered != full or not (plain or _extra_ok(g, s, param)):
                 return False
+            results.append(s)
+            return True
+        if covered == full:
             if independent:
                 return False
-            pool = list(iter_bits(full & ~s))
-            hit = False
-            for extra in combinations(pool, k - size):
-                t = s | mask_of(extra)
-                if t not in results and accept(t):
-                    results.add(t)
-                    hit = True
-                    if first_only:
-                        return True
-            return hit
-        if size == k:
-            return False
-        uncovered = full & ~covered
-        if uncovered.bit_count() > (k - size) * max_new:
-            return False
-        # every vertex added to an independent set is still uncovered
-        if independent and size + uncovered.bit_count() < k:
-            return False
-        branch, options = -1, None
-        for v in iter_bits(uncovered):
-            cnt = foot[v].bit_count()
-            if options is None or cnt < options:
-                branch, options = v, cnt
-                if cnt <= 1:
-                    break
-        if options == 0:
-            return False
-        candidates = foot[branch] & ~covered if independent else foot[branch]
+            # every superset dominates: branch on each unbanned vertex
+            options = full & ~s & ~banned
+            if size + options.bit_count() < k:
+                return False
+        else:
+            uncovered = full & ~covered
+            if uncovered.bit_count() > (k - size) * max_new:
+                return False
+            allowed = full & ~banned & ~covered if independent else full & ~banned
+            # every vertex added to an independent set is still uncovered
+            if independent and size + allowed.bit_count() < k:
+                return False
+            options, least = 0, None
+            for v in iter_bits(uncovered):
+                cnt = (foot[v] & allowed).bit_count()
+                if least is None or cnt < least:
+                    options, least = foot[v] & allowed, cnt
+                    if cnt <= 1:
+                        break
         hit = False
-        for u in iter_bits(candidates):
-            if dfs(s | (1 << u), covered | foot[u]):
+        for u in iter_bits(options):
+            if dfs(s | (1 << u), covered | foot[u], banned):
                 hit = True
                 if first_only:
                     return True
+            banned |= 1 << u
         return hit
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     return sorted(results)
 
 

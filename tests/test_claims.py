@@ -136,13 +136,26 @@ MUTATION_CLAIMS = {
 }
 
 
+def failure_digest(line_counts):
+    """Run each claim, check its failure-line count, digest the reports."""
+    reports = [run_claim(cid).to_json() for cid in line_counts]
+    assert [len(r["computed"]) for r in reports] == list(line_counts.values())
+    assert all(r["status"] == "fail" and r["expected"] == [] for r in reports)
+    blob = json.dumps(reports, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_failure_lines_pinned(monkeypatch):
     # every failure line, in order, under the inflated solver; the digest was
     # recorded while each of these checks still built its own failure list
     inflate_solver(monkeypatch)
-    reports = [run_claim(cid).to_json() for cid in MUTATION_CLAIMS]
-    assert [len(r["computed"]) for r in reports] == list(MUTATION_CLAIMS.values())
-    assert all(r["status"] == "fail" and r["expected"] == [] for r in reports)
-    blob = json.dumps(reports, sort_keys=True)
-    digest = hashlib.sha256(blob.encode()).hexdigest()
+    digest = failure_digest(MUTATION_CLAIMS)
     assert digest == "85544351671840138aae894de7cc806ecb3d659d1a25426cd1d98fbf5647466e"
+
+
+def test_pattern_failure_lines_pinned(monkeypatch):
+    # the inflated solver keeps every pattern excellent, so these yields
+    # are reached only when the pattern test itself fails
+    monkeypatch.setattr("domexc.claims.is_pattern_excellent", lambda *a, **k: False)
+    digest = failure_digest({"glued-cycles": 3, "coalescence-closure": 3})
+    assert digest == "2b7d480df1f35705d4ef080db15efed6521ce1d9568d067cb0d7b6dc2d58ea60"

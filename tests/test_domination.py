@@ -57,8 +57,8 @@ def test_oracle_all_orders_up_to_five():
                 oracle_agrees(g, pid)
 
 
-@pytest.mark.parametrize("pid", ["i", "beta0", "gamma_r", "gamma_tr"])
-def test_oracle_independent_domination_orders_six_and_seven(pid):
+@pytest.mark.parametrize("pid", PARAM_IDS)
+def test_oracle_orders_six_and_seven(pid):
     for n in (6, 7):
         for g in generate_all_graphs(n):
             oracle_agrees(g, pid)
@@ -139,7 +139,8 @@ def test_independent_domination_of_many_triangles():
 def test_restrained_completion_by_forcing():
     # a leaf of a star has only the centre as a neighbour, so it is forced
     # into any restrained set; in a triangle an outside vertex needs the
-    # other outside vertex, and open coverage already takes two per triangle
+    # other outside vertex, and open coverage already takes two per triangle,
+    # which force the third while the set is still partial
     star = complete_multipartite([1, 20])
     for par in (Param.RESTRAINED, Param.TOTAL_RESTRAINED):
         res = min_sets(star, par)
@@ -153,6 +154,17 @@ def test_restrained_completion_by_forcing():
     res = min_sets(triangles, Param.TOTAL_RESTRAINED)
     assert (res.value, res.sets) == (21, (triangles.full_mask,))
     assert param_value(triangles, Param.TOTAL_RESTRAINED) == 21
+
+
+def test_outer_connected_cycles():
+    # the outside of an optimal set is one run of two vertices, so the
+    # optimal sets are the n rotations of one set
+    for n, par in ((18, Param.OUTER_CONNECTED), (16, Param.TOTAL_OUTER_CONNECTED)):
+        g = cycle(n)
+        res = min_sets(g, par)
+        first = res.sets[0]
+        rotations = {(first << r | first >> (n - r)) & g.full_mask for r in range(n)}
+        assert (res.value, len(res.sets), set(res.sets)) == (n - 2, n, rotations)
 
 
 def test_total_undefined_with_isolates():
