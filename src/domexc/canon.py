@@ -26,9 +26,9 @@ kept as bitmasks, and proves or refutes isomorphism exactly. It stops
 after MATCH_BUDGET search nodes: up to CANON_CAP the lex-min keys then
 decide, and above it MatchBudgetError (a ValueError) is raised.
 ClassIndex keeps the first graph of each class this way for the
-catalogs, which key only the graphs they keep, and are_isomorphic runs
-the same two steps on a pair. Trees of any supported order also get an
-AHU-style key, tree_key.
+all-graphs catalogs and loaded catalog files, which key only the graphs
+they keep, and are_isomorphic runs the same two steps on a pair. Trees
+of any supported order also get an AHU-style key, tree_key.
 """
 
 from __future__ import annotations

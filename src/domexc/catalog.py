@@ -1,9 +1,13 @@
 """Isomorph-free graph catalogs and predicate search.
 
-Builds exhaustive catalogs (all graphs of small order, regular graphs)
-with one representative per isomorphism class, reads and writes graph6
-catalog files with a JSON metadata sidecar, and filters catalogs by
-domination-style queries.
+Builds exhaustive catalogs with one representative per isomorphism
+class, reads and writes graph6 catalog files with a JSON metadata
+sidecar, and filters catalogs by domination-style queries. All graphs of
+small order are grown one vertex at a time from the order below, and a
+canon.ClassIndex keeps the first graph of each class; a loaded file is
+deduplicated the same way. Regular graphs are generated orderly: a
+row-by-row lex-max test prunes every labelled graph but one per class
+before it is built, so no index is needed there.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .canon import CANON_CAP, ClassIndex, IsoKey, _find, automorphisms, canonica
 from .domination import PARAM_IDS, Param, ParameterUndefinedError, ParamResult, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6, triangle_bits
-from .graphs import Graph, edgeless
+from .graphs import Graph, edgeless, iter_bits
 
 ALL_GRAPHS_CAP = 7
 REGULAR_CAP = 12
@@ -128,29 +132,110 @@ def _residual_realizable(res: list[int]) -> bool:
     return True
 
 
+def _lex_max_prefix(rows: list[int], v: int) -> bool:
+    """False when some relabelling makes rows 0..v lexicographically larger.
+
+    rows[w] is the neighbour mask of w. Rows 0..v are complete, so every
+    row's adjacency to vertices 0..v is known too. A row is read as a bit
+    string, column 0 first, and 1 beats 0. Position i of a relabelling
+    takes a decided vertex x from the first cell of an ordered partition
+    of the unplaced vertices. Its new row puts x's neighbours first within
+    each cell, the largest row any refinement of the partition gives it,
+    and each cell then splits into x's neighbours and the rest. Columns
+    before i agree by symmetry, so the row is compared from column i on:
+    a larger row rejects, a smaller one ends the branch, an equal one goes
+    on. The identity is searched first. A relabelling that ties on rows
+    0..v is an automorphism of the decided part, as in canon._lex_min:
+    the search unwinds to where it parts from the identity, and a
+    candidate is skipped when an automorphism fixing the placed prefix
+    maps an explored sibling onto it. At v = n - 1 this is the exact
+    lex-max test.
+    """
+    n = len(rows)
+    decided = (1 << v + 1) - 1
+    order = [0] * (v + 1)
+    autos: list[tuple[list[int], int]] = []  # (images of 0..v, fixed-point mask)
+
+    def place(i: int, placed: int, cells: list[int]) -> int:
+        """Search below a tied prefix; -1 rejects, a depth below i unwinds."""
+        if i > v:
+            fixed = sum(1 << j for j, x in enumerate(order) if x == j)
+            if fixed != decided:
+                autos.append((order.copy(), fixed))
+            # resume where this tie parts from the identity, searched first
+            return (fixed + 1 & ~fixed).bit_length() - 1
+        target = rows[i] >> i + 1 << i + 1
+        explored: list[int] = []
+        orbits: list[int] | None = None
+        used = 0
+        for x in iter_bits(cells[0] & decided):
+            if used < len(autos):
+                # merge orbits under the new automorphisms that fix order[:i]
+                if orbits is None:
+                    orbits = list(range(n))
+                for perm, fixed in autos[used:]:
+                    if placed & ~fixed == 0:
+                        for w in range(v + 1):
+                            orbits[_find(orbits, w)] = _find(orbits, perm[w])
+                used = len(autos)
+            if orbits is not None:
+                root = _find(orbits, x)
+                if any(_find(orbits, e) == root for e in explored):
+                    continue
+            explored.append(x)
+            nbrs = rows[x]
+            rest = [cells[0] & ~(1 << x), *cells[1:]]
+            row = 0
+            start = i + 1
+            for cell in rest:
+                row |= (1 << (cell & nbrs).bit_count()) - 1 << start
+                start += cell.bit_count()
+            diff = row ^ target
+            if diff:
+                if row & diff & -diff:
+                    return -1
+                continue
+            order[i] = x
+            split = [part for cell in rest for part in (cell & nbrs, cell & ~nbrs) if part]
+            back = place(i + 1, placed | 1 << x, split)
+            if back < i:
+                return back
+        return i
+
+    return place(0, 0, [(1 << n) - 1]) >= 0
+
+
 def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
     """Every k-regular graph of order n up to isomorphism.
 
-    Fills neighbor rows vertex by vertex. Vertices not yet wired are
-    interchangeable whenever their decided columns agree, so each such
-    class only ever donates a prefix of its members. A ClassIndex keeps
-    the first graph completed in each isomorphism class, and only those
-    are keyed. An Erdos-Gallai check prunes branches whose residual
-    degrees have no realization.
+    An orderly generator (Meringer, Fast generation of regular graphs and
+    construction of cages, 1999). Neighbour rows are filled vertex by
+    vertex, each row's choices in decreasing lex order: vertices not yet
+    wired are interchangeable whenever their decided columns agree, so
+    each such class only ever donates a prefix of its members. Once row v
+    is fixed, the partial graph goes on only if no relabelling makes rows
+    0..v lexicographically larger (_lex_max_prefix). The lex-max labelling
+    of each class passes every such test, and at the last row the test is
+    exact, so each leaf is the lex-max labelling of a new class: the first
+    of its class the search would complete. One Graph is built per class,
+    and the catalog keys only those. An Erdos-Gallai check prunes branches
+    whose residual degrees have no realization.
     """
     if not 0 <= k < n <= REGULAR_CAP:
         raise ValueError(f"need 0 <= degree < order <= {REGULAR_CAP}")
     if n * k % 2:
         raise ValueError("order times degree must be even")
-    index = ClassIndex()
+    graphs: list[Graph] = []
     rows = [0] * n
     res = [k] * n
 
     def extend(v: int):
+        if v and not _lex_max_prefix(rows, v - 1):
+            return
         if v == n:
             g = Graph(n, tuple(rows))
             if not connected_only or g.is_connected():
-                index.add(g)
+                graphs.append(g)
             return
         need = res[v]
         later = list(range(v + 1, n))
@@ -195,7 +280,7 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
 
     extend(0)
     src = f"generated:regular:n={n}:k={k}:connected={str(connected_only).lower()}"
-    return _sorted_catalog(src, index.graphs)
+    return _sorted_catalog(src, graphs)
 
 
 def save_catalog(cat: Catalog, path) -> None:

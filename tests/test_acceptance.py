@@ -5,6 +5,7 @@ public API and compares exactly. Every expectation is written out as a
 literal so a regression in any layer surfaces here.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -12,6 +13,7 @@ import random
 
 import pytest
 
+from domexc import claims
 from domexc.canon import are_isomorphic
 from domexc.catalog import generate_all_graphs, generate_regular
 from domexc.claims import run_claim
@@ -28,6 +30,7 @@ from domexc.excellence import (
     is_excellent,
     is_pattern_excellent,
 )
+from domexc.graph6 import to_graph6
 from domexc.graphs import (
     cartesian_product,
     coalescence,
@@ -304,3 +307,9 @@ def test_criterion_15_five_regular_order_twelve():
         "K?DjdUsqmi^?",
         "K?LRdMsqmq\\_",
     ]
+    # sha256 of the graph6 lines of the catalog the claim searched (cached),
+    # recorded while generate_regular still deduplicated through ClassIndex
+    text = "".join(to_graph6(g) + "\n" for g in claims._regular(12, 5, True).graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fe597dfa6d08d7ed3cae609d6f30fcb4da8cf2a4f21cf1128f7bdda1a0613f34"
+    )

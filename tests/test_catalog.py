@@ -1,13 +1,14 @@
 """Catalog generation, persistence, and predicate search."""
 
 import hashlib
+import itertools
 import json
 from collections import Counter
 
 import pytest
 
 from domexc import catalog, excellence
-from domexc.canon import IsoKey, canonical_key
+from domexc.canon import ClassIndex, IsoKey, canonical_key
 from domexc.catalog import (
     ALL_GRAPHS_CAP,
     Catalog,
@@ -68,7 +69,10 @@ def test_all_graphs_isomorph_free():
 # sha256 of the graph6 lines `domexc gen` prints, recorded before the
 # generators skipped any extension (regular (10, 4), (10, 5) and (12, 3):
 # while they still keyed every labelled graph); the first graph seen in
-# each class is the one kept, so a skip that changes it changes these bytes
+# each class is the one kept, so a skip that changes it changes these bytes.
+# Regular (9, 2), (10, 3), (11, 4) and the connected-regular entries were
+# recorded while generate_regular still completed many labelled graphs per
+# class and kept the first; the orderly generator must keep the same ones
 CATALOG_SHA256 = {
     ("all", 1, False): "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
     ("all", 1, True): "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
@@ -87,6 +91,12 @@ CATALOG_SHA256 = {
     ("regular", 10, 4): "af12d708b047adb0ebc40434d234dfe05de419d4e215404a2e2a0da3434da239",
     ("regular", 10, 5): "5f4f0e60a73355a4bedbd03327929003abe496990e72047258ad5dd1bdb95f67",
     ("regular", 12, 3): "33c0c49664a449139b81f49300f02d65dcf3732a32c2ac4e4e48533715c6d19e",
+    ("regular", 9, 2): "059f1a64e3607c4256860a578e1d70ac593e2fbfe00ae56f5578b6cc047c10c2",
+    ("regular", 10, 3): "11e94514d0b008e86fa2274d0f17abe30b77cb999c2ae541817a832b425bdb59",
+    ("regular", 11, 4): "c5f0facc60730af24537ff35bed9c39d1b1023e1de10fc484ecbe683e98c579c",
+    ("connected-regular", 10, 3): "475c19257d42d57aa3e43adcf27746338c7273a49848cc5f6319278c7a25f929",
+    ("connected-regular", 10, 5): "5f4f0e60a73355a4bedbd03327929003abe496990e72047258ad5dd1bdb95f67",
+    ("connected-regular", 12, 3): "47494f735f03295b52eff6678eee9772f7c022c462fc93132c2d80ba544eb426",
 }
 
 
@@ -96,7 +106,7 @@ def test_catalog_bytes_pinned(spec):
     if kind == "all":
         cat = generate_all_graphs(n, connected_only=arg)
     else:
-        cat = generate_regular(n, arg)
+        cat = generate_regular(n, arg, connected_only=kind == "connected-regular")
     text = "".join(to_graph6(g) + "\n" for g in cat.graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256[spec]
 
@@ -138,6 +148,50 @@ def test_regular_counts():
         assert all(g.is_regular() and g.degree(0) == k for g in cat)
     assert len(generate_regular(8, 3, connected_only=True)) == 5
     assert len(generate_regular(10, 3, connected_only=True)) == 19
+
+
+def lex_string(g: Graph, order) -> str:
+    """Rows of g relabelled so that old vertex order[i] is new vertex i, column 0 first."""
+    return "".join(
+        "1" if g.adj[order[i]] >> order[j] & 1 else "0" for i in range(g.n) for j in range(g.n)
+    )
+
+
+def test_regular_keeps_lex_max_labelling_oracle():
+    # the orderly test relies on this: each class keeps its lex-max labelling
+    # (rows compared in turn, column 0 first, 1 beating 0), the first of its
+    # class that the decreasing-lex row search completes
+    for n in range(1, 8):
+        level = [g for g in generate_all_graphs(n) if g.is_regular()]
+        for k in range(n):
+            if n * k % 2:
+                continue
+            cat = generate_regular(n, k)
+            for g in cat:
+                own = lex_string(g, range(n))
+                assert own == max(lex_string(g, p) for p in itertools.permutations(range(n)))
+            want = {canonical_key(g) for g in level if g.degree(0) == k}
+            assert set(cat.keys) == want
+
+
+def test_regular_builds_one_graph_per_class(monkeypatch):
+    # the orderly test prunes every labelled graph but one per class before
+    # it is built (the search without it completes 2,883 here), so
+    # generate_regular never reaches ClassIndex.add
+    built = []
+
+    def counted(*args):
+        built.append(Graph(*args))
+        return built[-1]
+
+    def refused(self, g):
+        raise AssertionError("generate_regular reached ClassIndex.add")
+
+    monkeypatch.setattr(catalog, "Graph", counted)
+    monkeypatch.setattr(ClassIndex, "add", refused)
+    cat = generate_regular(10, 5)
+    assert len(cat) == 60
+    assert len(built) == 60
 
 
 def test_regular_edge_cases():
