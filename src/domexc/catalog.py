@@ -5,9 +5,10 @@ class, reads and writes graph6 catalog files with a JSON metadata
 sidecar, and filters catalogs by domination-style queries. All graphs of
 small order are grown one vertex at a time from the order below, and a
 canon.ClassIndex keeps the first graph of each class; a loaded file is
-deduplicated the same way. Regular graphs are generated orderly: a
-row-by-row lex-max test prunes every labelled graph but one per class
-before it is built, so no index is needed there.
+deduplicated the same way. Regular graphs are generated orderly: each
+row is a plain combination of later vertices, and a row-by-row lex-max
+test prunes every labelled graph but one per class before it is built,
+so no index is needed there.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 from .canon import CANON_CAP, ClassIndex, IsoKey, _find, automorphisms, canonical_key
@@ -210,11 +212,11 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
 
     An orderly generator (Meringer, Fast generation of regular graphs and
     construction of cages, 1999). Neighbour rows are filled vertex by
-    vertex, each row's choices in decreasing lex order: vertices not yet
-    wired are interchangeable whenever their decided columns agree, so
-    each such class only ever donates a prefix of its members. Once row v
-    is fixed, the partial graph goes on only if no relabelling makes rows
-    0..v lexicographically larger (_lex_max_prefix). The lex-max labelling
+    vertex. Row v is a plain combination of the later vertices with degree
+    left, taken in decreasing lex order. Once row v is fixed, the partial
+    graph goes on only if no relabelling makes rows 0..v lexicographically
+    larger (_lex_max_prefix); that also rejects a row which only swaps
+    interchangeable later columns of a larger one. The lex-max labelling
     of each class passes every such test, and at the last row the test is
     exact, so each leaf is the lex-max labelling of a new class: the first
     of its class the search would complete. One Graph is built per class,
@@ -237,46 +239,18 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
             if not connected_only or g.is_connected():
                 graphs.append(g)
             return
-        need = res[v]
-        later = list(range(v + 1, n))
-        if need == 0:
-            extend(v + 1)
-            return
-        if need > sum(1 for w in later if res[w] > 0):
-            return
-        # columns with equal decided prefixes are interchangeable
-        classes: dict[int, list[int]] = {}
-        for w in later:
-            if res[w] > 0:
-                classes.setdefault(rows[w], []).append(w)
-        groups = list(classes.values())
-
-        def pick(gi: int, left: int, chosen: list[int]):
-            if left == 0:
-                for w in chosen:
-                    rows[v] |= 1 << w
-                    rows[w] |= 1 << v
-                    res[w] -= 1
-                saved = res[v]
-                res[v] = 0
-                if _residual_realizable([res[w] for w in later]):
-                    extend(v + 1)
-                res[v] = saved
-                for w in chosen:
-                    rows[v] &= ~(1 << w)
-                    rows[w] &= ~(1 << v)
-                    res[w] += 1
-                return
-            if gi == len(groups):
-                return
-            avail = sum(len(groups[j]) for j in range(gi, len(groups)))
-            if avail < left:
-                return
-            group = groups[gi]
-            for take in range(min(left, len(group)), -1, -1):
-                pick(gi + 1, left - take, chosen + group[:take])
-
-        pick(0, need, [])
+        later = [w for w in range(v + 1, n) if res[w] > 0]
+        for chosen in combinations(later, res[v]):
+            for w in chosen:
+                rows[v] |= 1 << w
+                rows[w] |= 1 << v
+                res[w] -= 1
+            if _residual_realizable(res[v + 1 :]):
+                extend(v + 1)
+            for w in chosen:
+                rows[v] &= ~(1 << w)
+                rows[w] &= ~(1 << v)
+                res[w] += 1
 
     extend(0)
     src = f"generated:regular:n={n}:k={k}:connected={str(connected_only).lower()}"

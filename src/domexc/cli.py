@@ -57,11 +57,13 @@ def _read_source(source: str) -> tuple[str, list]:
     entries are parse_lines pairs, (line number, Graph or Graph6Error), and
     workers receive these parsed graphs; an inline argument is one entry,
     stripped of surrounding whitespace as parse_lines strips a file line.
+    A file is decoded as latin-1, so a byte outside graph6's range fails
+    only its own line.
     """
     if source == "-":
         return "stdin", list(parse_lines(sys.stdin.read()))
     if os.path.exists(source):
-        with open(source, encoding="ascii") as fh:
+        with open(source, encoding="latin-1") as fh:
             return source, list(parse_lines(fh.read()))
     try:
         return "inline", [(1, from_graph6(source.strip()))]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -172,6 +173,51 @@ def test_regular_keeps_lex_max_labelling_oracle():
                 assert own == max(lex_string(g, p) for p in itertools.permutations(range(n)))
             want = {canonical_key(g) for g in level if g.degree(0) == k}
             assert set(cat.keys) == want
+
+
+def beats_decided_rows(rows: list[int], v: int, order) -> bool:
+    """True when relabelling by order makes rows 0..v larger than they are.
+
+    Rows are compared in turn, column 0 first and 1 beating 0, while each
+    belongs to a decided vertex (0..v): an undecided row is not yet known,
+    so the comparison ends undecided there.
+    """
+    n = len(rows)
+    for i in range(v + 1):
+        x = order[i]
+        if x > v:
+            return False
+        mine = [rows[i] >> j & 1 for j in range(n)]
+        theirs = [rows[x] >> order[j] & 1 for j in range(n)]
+        if theirs != mine:
+            return theirs > mine
+    return False
+
+
+def test_lex_max_prefix_partial_oracle():
+    # the generator's row choices are plain combinations, so the prefix test
+    # must reject every partial graph some relabelling beats; rows 0..v are
+    # decided and the undecided vertices are joined only to decided ones
+    cases = [([10, 9, 0, 3], 2)]
+    rng = random.Random(14)
+    for _ in range(5000):
+        n = rng.randint(1, 7)
+        v = rng.randrange(n)
+        rows = [0] * n
+        for a in range(v + 1):
+            for b in range(a + 1, n):
+                if rng.random() < 0.5:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+        cases.append((rows, v))
+    rejected = 0
+    for rows, v in cases:
+        beaten = any(
+            beats_decided_rows(rows, v, p) for p in itertools.permutations(range(len(rows)))
+        )
+        assert catalog._lex_max_prefix(rows, v) == (not beaten), (rows, v)
+        rejected += beaten
+    assert 0 < rejected < len(cases)
 
 
 def test_regular_builds_one_graph_per_class(monkeypatch):

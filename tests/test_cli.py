@@ -85,6 +85,18 @@ def test_convert_file_with_bad_line(tmp_path, capsys):
     assert out.splitlines() == ["C~", f"1: line 2: error: {rs[1]['error']}", "Bw"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "family", "convert"])
+def test_non_ascii_line_is_an_error_entry(tmp_path, capsys, command):
+    f = tmp_path / "mixed.g6"
+    f.write_bytes(b"C~\n\xff\nBw\n")
+    code, payload, err = run_json(capsys, command, str(f))
+    assert code == 2
+    assert "Traceback" not in err
+    rs = payload["results"]
+    assert rs[1] == {"index": 1, "line": 2, "error": "byte 255 outside graph6 range (byte 0)"}
+    assert [rs[0]["graph6"], rs[2]["graph6"]] == ["C~", "Bw"]
+
+
 class ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 
