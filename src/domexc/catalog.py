@@ -8,7 +8,8 @@ canon.ClassIndex keeps the first graph of each class; a loaded file is
 deduplicated the same way. Regular graphs are generated orderly: each
 row is a plain combination of later vertices, and a row-by-row lex-max
 test prunes every labelled graph but one per class before it is built,
-so no index is needed there.
+so no index is needed there. That test's only symmetry pruning is tie
+unwinding; it keeps no automorphisms and prunes no orbits.
 """
 
 from __future__ import annotations
@@ -147,44 +148,24 @@ def _lex_max_prefix(rows: list[int], v: int) -> bool:
     before i agree by symmetry, so the row is compared from column i on:
     a larger row rejects, a smaller one ends the branch, an equal one goes
     on. The identity is searched first. A relabelling that ties on rows
-    0..v is an automorphism of the decided part, as in canon._lex_min:
-    the search unwinds to where it parts from the identity, and a
-    candidate is skipped when an automorphism fixing the placed prefix
-    maps an explored sibling onto it. At v = n - 1 this is the exact
-    lex-max test.
+    0..v is an automorphism of the decided part; it maps the identity's
+    branch at the first position where the two part onto the tie's branch
+    there, and the identity's branch was searched first, so the search
+    unwinds to that position. That tie unwinding is the only symmetry
+    pruning: automorphisms are not kept, and no sibling is skipped by
+    orbit. At v = n - 1 this is the exact lex-max test.
     """
     n = len(rows)
     decided = (1 << v + 1) - 1
     order = [0] * (v + 1)
-    autos: list[tuple[list[int], int]] = []  # (images of 0..v, fixed-point mask)
 
-    def place(i: int, placed: int, cells: list[int]) -> int:
+    def place(i: int, cells: list[int]) -> int:
         """Search below a tied prefix; -1 rejects, a depth below i unwinds."""
         if i > v:
-            fixed = sum(1 << j for j, x in enumerate(order) if x == j)
-            if fixed != decided:
-                autos.append((order.copy(), fixed))
             # resume where this tie parts from the identity, searched first
-            return (fixed + 1 & ~fixed).bit_length() - 1
+            return next((j for j, x in enumerate(order) if x != j), i)
         target = rows[i] >> i + 1 << i + 1
-        explored: list[int] = []
-        orbits: list[int] | None = None
-        used = 0
         for x in iter_bits(cells[0] & decided):
-            if used < len(autos):
-                # merge orbits under the new automorphisms that fix order[:i]
-                if orbits is None:
-                    orbits = list(range(n))
-                for perm, fixed in autos[used:]:
-                    if placed & ~fixed == 0:
-                        for w in range(v + 1):
-                            orbits[_find(orbits, w)] = _find(orbits, perm[w])
-                used = len(autos)
-            if orbits is not None:
-                root = _find(orbits, x)
-                if any(_find(orbits, e) == root for e in explored):
-                    continue
-            explored.append(x)
             nbrs = rows[x]
             rest = [cells[0] & ~(1 << x), *cells[1:]]
             row = 0
@@ -199,12 +180,12 @@ def _lex_max_prefix(rows: list[int], v: int) -> bool:
                 continue
             order[i] = x
             split = [part for cell in rest for part in (cell & nbrs, cell & ~nbrs) if part]
-            back = place(i + 1, placed | 1 << x, split)
+            back = place(i + 1, split)
             if back < i:
                 return back
         return i
 
-    return place(0, 0, [(1 << n) - 1]) >= 0
+    return place(0, [(1 << n) - 1]) >= 0
 
 
 def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
@@ -216,7 +197,8 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
     left, taken in decreasing lex order. Once row v is fixed, the partial
     graph goes on only if no relabelling makes rows 0..v lexicographically
     larger (_lex_max_prefix); that also rejects a row which only swaps
-    interchangeable later columns of a larger one. The lex-max labelling
+    interchangeable later columns of a larger one. The test unwinds at
+    each relabelling that ties, and prunes no orbits. The lex-max labelling
     of each class passes every such test, and at the last row the test is
     exact, so each leaf is the lex-max labelling of a new class: the first
     of its class the search would complete. One Graph is built per class,
@@ -275,13 +257,15 @@ def load_catalog(path) -> Catalog:
     At every order a duplicate is a graph isomorphic to an earlier line,
     found through a ClassIndex; the first line of each class is kept.
     Above order CANON_CAP the catalog key of a kept graph is its labelled
-    IsoKey(n, triangle_bits(g)), which only sorts the lines.
+    IsoKey(n, triangle_bits(g)), which only sorts the lines. The file is
+    decoded as latin-1, so a byte outside graph6's range is reported as a
+    Graph6Error naming its line, the first bad line stopping the load.
     """
     p = Path(path)
     index = ClassIndex()
     first_line: list[int] = []
     warnings = []
-    for lineno, item in parse_lines(p.read_text()):
+    for lineno, item in parse_lines(p.read_text(encoding="latin-1")):
         if isinstance(item, Exception):
             raise type(item)(f"line {lineno}: {item}")
         pos = index.add(item)

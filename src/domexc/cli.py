@@ -57,11 +57,11 @@ def _read_source(source: str) -> tuple[str, list]:
     entries are parse_lines pairs, (line number, Graph or Graph6Error), and
     workers receive these parsed graphs; an inline argument is one entry,
     stripped of surrounding whitespace as parse_lines strips a file line.
-    A file is decoded as latin-1, so a byte outside graph6's range fails
-    only its own line.
+    A file or stdin is decoded as latin-1, so a byte outside graph6's
+    range fails only its own line.
     """
     if source == "-":
-        return "stdin", list(parse_lines(sys.stdin.read()))
+        return "stdin", list(parse_lines(sys.stdin.buffer.read().decode("latin-1")))
     if os.path.exists(source):
         with open(source, encoding="latin-1") as fh:
             return source, list(parse_lines(fh.read()))
@@ -310,11 +310,15 @@ def _load_search_catalog(args):
     if args.catalog is not None:
         return load_catalog(args.catalog)
     if args.gen is not None:
-        fields = args.gen.split(":")
-        if fields[0] == "all" and len(fields) == 2:
-            return generate_all_graphs(int(fields[1]), connected_only=args.connected)
-        if fields[0] == "regular" and len(fields) == 3:
-            return generate_regular(int(fields[1]), int(fields[2]), connected_only=args.connected)
+        kind, *fields = args.gen.split(":")
+        try:
+            nums = [int(f) for f in fields]
+        except ValueError:
+            nums = []
+        if kind == "all" and len(nums) == 1:
+            return generate_all_graphs(*nums, connected_only=args.connected)
+        if kind == "regular" and len(nums) == 2:
+            return generate_regular(*nums, connected_only=args.connected)
         raise ValueError(f"bad gen spec {args.gen!r}; use all:N or regular:N:K")
     raise ValueError("search needs --catalog PATH or --gen SPEC")
 

@@ -194,11 +194,28 @@ def beats_decided_rows(rows: list[int], v: int, order) -> bool:
     return False
 
 
-def test_lex_max_prefix_partial_oracle():
+def test_lex_max_prefix_partial_oracle(monkeypatch):
     # the generator's row choices are plain combinations, so the prefix test
     # must reject every partial graph some relabelling beats; rows 0..v are
     # decided and the undecided vertices are joined only to decided ones
     cases = [([10, 9, 0, 3], 2)]
+    # every prefix generate_regular tests up to order 7: regular prefixes
+    # tie far more often than random ones, so they exercise tie unwinding
+    tested = []
+
+    def recorded(rows, v):
+        tested.append((rows.copy(), v))
+        return lex_max_prefix(rows, v)
+
+    lex_max_prefix = catalog._lex_max_prefix
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "_lex_max_prefix", recorded)
+        for n in range(1, 8):
+            for k in range(n):
+                if n * k % 2 == 0:
+                    generate_regular(n, k)
+    assert len(tested) > 200
+    cases += tested
     rng = random.Random(14)
     for _ in range(5000):
         n = rng.randint(1, 7)

@@ -25,6 +25,11 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def stdin_bytes(data: bytes):
+    """A text stdin over data whose text layer decodes UTF-8, as a UTF-8 locale's does."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def test_analyze_inline(capsys):
     code, payload, _ = run_json(capsys, "analyze", "C~")
     assert code == 0
@@ -86,15 +91,19 @@ def test_convert_file_with_bad_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "family", "convert"])
-def test_non_ascii_line_is_an_error_entry(tmp_path, capsys, command):
+def test_non_ascii_line_is_an_error_entry(tmp_path, capsys, monkeypatch, command):
+    # a file and stdin are both decoded as latin-1, whatever the locale
+    data = b"C~\n\xff\nBw\n"
     f = tmp_path / "mixed.g6"
-    f.write_bytes(b"C~\n\xff\nBw\n")
-    code, payload, err = run_json(capsys, command, str(f))
-    assert code == 2
-    assert "Traceback" not in err
-    rs = payload["results"]
-    assert rs[1] == {"index": 1, "line": 2, "error": "byte 255 outside graph6 range (byte 0)"}
-    assert [rs[0]["graph6"], rs[2]["graph6"]] == ["C~", "Bw"]
+    f.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", stdin_bytes(data))
+    for source in (str(f), "-"):
+        code, payload, err = run_json(capsys, command, source)
+        assert code == 2
+        assert "Traceback" not in err
+        rs = payload["results"]
+        assert rs[1] == {"index": 1, "line": 2, "error": "byte 255 outside graph6 range (byte 0)"}
+        assert [rs[0]["graph6"], rs[2]["graph6"]] == ["C~", "Bw"]
 
 
 class ClosedPipe(io.TextIOBase):
@@ -150,7 +159,7 @@ def test_family_unsupported_graph_is_an_error_entry(tmp_path, capsys, jobs):
 
 
 def test_analyze_empty_graph_is_an_error_entry(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("?\nC~\n"))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b"?\nC~\n"))
     code, payload, _ = run_json(capsys, "analyze", "-")
     assert code == 2
     empty, k4 = payload["results"]
@@ -159,7 +168,7 @@ def test_analyze_empty_graph_is_an_error_entry(capsys, monkeypatch):
 
 
 def test_analyze_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("C~\nCl\n"))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b"C~\nCl\n"))
     code, payload, _ = run_json(capsys, "analyze", "-")
     assert code == 0
     assert payload["input"]["source"] == "stdin"
@@ -371,9 +380,11 @@ def test_search_catalog_file(tmp_path, capsys):
     assert len(payload["results"]) == 3
 
 
-def test_search_errors(capsys):
-    code, _, err = run(capsys, "search", "--gen", "regular:9")
-    assert code == 2 and "bad gen spec" in err
+def test_search_errors(tmp_path, capsys):
+    for spec in ("regular:9", "all:x", "regular:9:x"):
+        code, _, err = run(capsys, "search", "--gen", spec)
+        assert code == 2
+        assert err == f"error: bad gen spec '{spec}'; use all:N or regular:N:K\n"
     code, _, err = run(capsys, "search")
     assert code == 2 and "needs --catalog" in err
     code, _, err = run(capsys, "search", "--gen", "all:4", "--where", "gamma2=1")
@@ -382,6 +393,12 @@ def test_search_errors(capsys):
         code, _, err = run(capsys, "search", "--gen", "all:4", "--where", clause)
         assert code == 2
         assert err == f"error: bad --where clause '{clause}'; use PARAM=VALUE\n"
+    # a catalog file is decoded as latin-1, so a stray byte names its line
+    f = tmp_path / "mixed.g6"
+    f.write_bytes(b"D?{\n\xff\nDQc\n")
+    code, out, err = run(capsys, "search", "--catalog", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: byte 255 outside graph6 range (byte 0)\n"
 
 
 def test_convert_canonical_idempotent(capsys):
