@@ -13,7 +13,6 @@ ties the best string gives an automorphism, the search unwinds to where
 the two orderings part, and a candidate is skipped when an automorphism
 fixing the placed prefix maps an explored sibling onto it. Swapping two
 unplaced twins is such an automorphism, known before the search starts.
-automorphisms hands these maps to the catalog generator.
 
 Isomorphism at every order up to 64 vertices is decided without keys, in
 the refine-then-match style of the same paper. Vertices start coloured
@@ -25,9 +24,9 @@ matcher maps vertices onto vertices of the same colour, with candidates
 kept as bitmasks, and proves or refutes isomorphism exactly. It stops
 after MATCH_BUDGET search nodes: up to CANON_CAP the lex-min keys then
 decide, and above it MatchBudgetError (a ValueError) is raised.
-ClassIndex keeps the first graph of each class this way for the
-all-graphs catalogs and loaded catalog files, which key only the graphs
-they keep, and are_isomorphic runs the same two steps on a pair. Trees
+ClassIndex keeps the first graph of each class this way for loaded
+catalog files, which key only the graphs they keep, and are_isomorphic
+runs the same two steps on a pair. Trees
 of any supported order also get an AHU-style key, tree_key.
 """
 
@@ -85,14 +84,14 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def _lex_min(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """Lex-min adjacency bits of g and the automorphisms met on the way.
+def _lex_min(g: Graph) -> int:
+    """Lex-min adjacency bits of g.
 
     The bits are built here, block by block, in the graph6 triangle
     layout: the block at depth d holds the adjacency of the vertex placed
     at d to those placed before it, first placed vertex most significant.
-    Each automorphism p is a tuple with p[v] the image of v; there is one
-    per leaf whose string tied the best one.
+    Each leaf whose string ties the best one gives an automorphism, kept
+    only to prune this search.
     """
     n = g.n
     adj = g.adj
@@ -182,37 +181,14 @@ def _lex_min(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
     bits = 0
     for depth, block in enumerate(best_blocks):
         bits = bits << depth | block
-    return bits, [perm for perm, _ in autos]
+    return bits
 
 
 def canonical_key(g: Graph) -> IsoKey:
     """Canonical key for g; supported for orders up to 12."""
     if g.n > CANON_CAP:
         raise ValueError(f"canonical_key supports orders up to {CANON_CAP}, got {g.n}")
-    return IsoKey(g.n, _lex_min(g)[0])
-
-
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Automorphisms of g, each a tuple p with p[v] the image of v.
-
-    A transposition for each pair of consecutive twins, then every
-    automorphism the lex-min search behind canonical_key met. The catalog
-    generator prunes by the group they generate. Orders up to 12.
-    """
-    if g.n > CANON_CAP:
-        raise ValueError(f"automorphisms supports orders up to {CANON_CAP}, got {g.n}")
-    twins = _twin_classes(g)
-    perms = []
-    last: dict[int, int] = {}
-    for v in range(g.n):
-        u = last.get(twins[v])
-        if u is not None:
-            perm = list(range(g.n))
-            perm[u], perm[v] = v, u
-            perms.append(tuple(perm))
-        last[twins[v]] = v
-    perms.extend(_lex_min(g)[1])
-    return perms
+    return IsoKey(g.n, _lex_min(g))
 
 
 class MatchBudgetError(ValueError):

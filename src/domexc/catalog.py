@@ -3,13 +3,14 @@
 Builds exhaustive catalogs with one representative per isomorphism
 class, reads and writes graph6 catalog files with a JSON metadata
 sidecar, and filters catalogs by domination-style queries. All graphs of
-small order are grown one vertex at a time from the order below, and a
-canon.ClassIndex keeps the first graph of each class; a loaded file is
-deduplicated the same way. Regular graphs are generated orderly: each
-row is a plain combination of later vertices, and a row-by-row lex-max
-test prunes every labelled graph but one per class before it is built,
-so no index is needed there. That test's only symmetry pruning is tie
-unwinding; it keeps no automorphisms and prunes no orbits.
+small order and the regular graphs come from one orderly search: row v
+is a mask of later vertices (every subset, or a combination with degree
+left), and a row-by-row lex-max test prunes every labelled graph but one
+per class before it is built, so no index is needed. Each class is kept
+in its lex-max labelling. That test's only symmetry pruning is tie
+unwinding; it keeps no automorphisms and prunes no orbits. A loaded file
+is deduplicated through a canon.ClassIndex, keeping each class's first
+line.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from .canon import CANON_CAP, ClassIndex, IsoKey, _find, automorphisms, canonical_key
+from .canon import CANON_CAP, ClassIndex, IsoKey, canonical_key
 from .domination import PARAM_IDS, Param, ParameterUndefinedError, ParamResult, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6, triangle_bits
-from .graphs import Graph, edgeless, iter_bits
+from .graphs import Graph, iter_bits
 
 ALL_GRAPHS_CAP = 7
 REGULAR_CAP = 12
@@ -63,61 +64,6 @@ def _sorted_catalog(source: str, graphs, warnings=()) -> Catalog:
     return Catalog(
         source, tuple(graphs[i] for i in order), tuple(keys[i] for i in order), tuple(warnings)
     )
-
-
-def _orbit_minima(g: Graph) -> list[int]:
-    """Neighbourhood masks for a new vertex, in increasing order.
-
-    Keeps the smallest mask of each orbit under the group generated by
-    automorphisms(g).
-    """
-    size = 1 << g.n
-    root = list(range(size))
-    image = [0] * size
-    for perm in automorphisms(g):
-        for mask in range(1, size):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << perm[low.bit_length() - 1]
-            a, b = _find(root, mask), _find(root, image[mask])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [mask for mask in range(size) if root[mask] == mask]
-
-
-@lru_cache(maxsize=None)
-def _level(n: int) -> tuple[Graph, ...]:
-    """One representative per class of order n, first seen first.
-
-    Each class on n vertices extends some class on n - 1 (delete any
-    vertex), so attaching a new vertex to every representative of the
-    level below in every way and deduplicating through a ClassIndex is
-    exhaustive. Neighbourhoods that an automorphism of the representative
-    maps onto a smaller one are skipped: they give a graph isomorphic to
-    one built earlier from the same representative, so the first graph
-    seen in each class, the one kept, stays the same. Each level is built
-    once per process, from the level below it.
-    """
-    if n == 1:
-        return (edgeless(1),)
-    index = ClassIndex()
-    for g in _level(n - 1):
-        for nbrs in _orbit_minima(g):
-            index.add(g.with_vertex(nbrs))
-    return tuple(index.graphs)
-
-
-def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
-    """Every graph of order n up to isomorphism, grown order by order.
-
-    Capped at order 7.
-    """
-    if not 1 <= n <= ALL_GRAPHS_CAP:
-        raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
-    level = _level(n)
-    if connected_only:
-        level = [g for g in level if g.is_connected()]
-    src = f"generated:all:n={n}:connected={str(connected_only).lower()}"
-    return _sorted_catalog(src, level)
 
 
 def _residual_realizable(res: list[int]) -> bool:
@@ -188,30 +134,21 @@ def _lex_max_prefix(rows: list[int], v: int) -> bool:
     return place(0, [(1 << n) - 1]) >= 0
 
 
-def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
-    """Every k-regular graph of order n up to isomorphism.
+def _orderly(n: int, row_options, connected_only: bool) -> list[Graph]:
+    """The lex-max labelling of every class of order n the rows allow.
 
-    An orderly generator (Meringer, Fast generation of regular graphs and
-    construction of cages, 1999). Neighbour rows are filled vertex by
-    vertex. Row v is a plain combination of the later vertices with degree
-    left, taken in decreasing lex order. Once row v is fixed, the partial
-    graph goes on only if no relabelling makes rows 0..v lexicographically
-    larger (_lex_max_prefix); that also rejects a row which only swaps
-    interchangeable later columns of a larger one. The test unwinds at
-    each relabelling that ties, and prunes no orbits. The lex-max labelling
-    of each class passes every such test, and at the last row the test is
-    exact, so each leaf is the lex-max labelling of a new class: the first
-    of its class the search would complete. One Graph is built per class,
-    and the catalog keys only those. An Erdos-Gallai check prunes branches
-    whose residual degrees have no realization.
+    An orderly search (Read, Every one a winner, 1978; Meringer 1999).
+    Neighbour rows are filled vertex by vertex: row_options(rows, v) yields
+    the masks of later vertices row v may join, and rows[w] already holds
+    w's neighbours among 0..v-1. Once row v is fixed, the partial graph
+    goes on only if no relabelling makes rows 0..v lexicographically larger
+    (_lex_max_prefix). The lex-max labelling of each class passes every
+    such test, and at the last row the test is exact, so each leaf is the
+    lex-max labelling of a new class, whatever order the options come in.
+    One Graph is built per leaf; connected_only drops the disconnected ones.
     """
-    if not 0 <= k < n <= REGULAR_CAP:
-        raise ValueError(f"need 0 <= degree < order <= {REGULAR_CAP}")
-    if n * k % 2:
-        raise ValueError("order times degree must be even")
     graphs: list[Graph] = []
     rows = [0] * n
-    res = [k] * n
 
     def extend(v: int):
         if v and not _lex_max_prefix(rows, v - 1):
@@ -221,20 +158,63 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
             if not connected_only or g.is_connected():
                 graphs.append(g)
             return
-        later = [w for w in range(v + 1, n) if res[w] > 0]
-        for chosen in combinations(later, res[v]):
-            for w in chosen:
-                rows[v] |= 1 << w
-                rows[w] |= 1 << v
-                res[w] -= 1
-            if _residual_realizable(res[v + 1 :]):
-                extend(v + 1)
-            for w in chosen:
-                rows[v] &= ~(1 << w)
-                rows[w] &= ~(1 << v)
-                res[w] += 1
+        before = rows[v]
+        for mask in row_options(rows, v):
+            rows[v] = before | mask
+            for w in iter_bits(mask):
+                rows[w] ^= 1 << v
+            extend(v + 1)
+            for w in iter_bits(mask):
+                rows[w] ^= 1 << v
+        rows[v] = before
 
     extend(0)
+    return graphs
+
+
+@lru_cache(maxsize=None)
+def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
+    """Every graph of order n up to isomorphism, each in its lex-max labelling.
+
+    The orderly search of _orderly with every subset of the later vertices
+    as a row: the multiples of 1 << v + 1 below 1 << n. Capped at order 7.
+    Each catalog is built once per process.
+    """
+    if not 1 <= n <= ALL_GRAPHS_CAP:
+        raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
+    graphs = _orderly(n, lambda rows, v: range(0, 1 << n, 1 << v + 1), connected_only)
+    src = f"generated:all:n={n}:connected={str(connected_only).lower()}"
+    return _sorted_catalog(src, graphs)
+
+
+def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
+    """Every k-regular graph of order n up to isomorphism.
+
+    An orderly generator (Meringer, Fast generation of regular graphs and
+    construction of cages, 1999), run by _orderly. Row v is a plain
+    combination of the later vertices with degree left, taken in
+    decreasing lex order; the prefix test also rejects a row which only
+    swaps interchangeable later columns of a larger one. Each class is
+    kept in its lex-max labelling, the first of its class the search would
+    complete, and the catalog keys only those. An Erdos-Gallai check drops
+    rows whose residual degrees have no realization.
+    """
+    if not 0 <= k < n <= REGULAR_CAP:
+        raise ValueError(f"need 0 <= degree < order <= {REGULAR_CAP}")
+    if n * k % 2:
+        raise ValueError("order times degree must be even")
+
+    def degree_bounded(rows: list[int], v: int):
+        res = [k - row.bit_count() for row in rows]
+        later = [w for w in range(v + 1, n) if res[w] > 0]
+        for chosen in combinations(later, res[v]):
+            left = res[v + 1 :]
+            for w in chosen:
+                left[w - v - 1] -= 1
+            if _residual_realizable(left):
+                yield sum(1 << w for w in chosen)
+
+    graphs = _orderly(n, degree_bounded, connected_only)
     src = f"generated:regular:n={n}:k={k}:connected={str(connected_only).lower()}"
     return _sorted_catalog(src, graphs)
 

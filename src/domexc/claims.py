@@ -87,11 +87,6 @@ class ClaimReport:
 
 
 @lru_cache(maxsize=None)
-def _all_graphs(n: int):
-    return generate_all_graphs(n)
-
-
-@lru_cache(maxsize=None)
 def _regular(n: int, k: int, connected: bool = False):
     return generate_regular(n, k, connected_only=connected)
 
@@ -250,7 +245,7 @@ def _edgeless_names(m: int) -> list[str]:
 
 def _check_edge_critical_pairs():
     for n in range(2, 7):
-        for g in _all_graphs(n):
+        for g in generate_all_graphs(n):
             if g.edge_count() == n * (n - 1) // 2:
                 continue
             if not is_edge_addition_critical(g):
@@ -263,7 +258,7 @@ def _check_edge_critical_pairs():
 
 def _check_independence_equals_domination():
     for n in range(1, 7):
-        for g in _all_graphs(n):
+        for g in generate_all_graphs(n):
             s = param_value(g, Param.INDEPENDENCE)
             if param_value(g, Param.GAMMA) != s:
                 continue
@@ -278,7 +273,7 @@ def _check_independence_equals_domination():
 def _check_no_path3_at_three():
     p3 = path(3)
     for n in range(1, 8):
-        for g in _all_graphs(n):
+        for g in generate_all_graphs(n):
             res = min_sets(g, Param.GAMMA)
             if res.value != 3:
                 continue
@@ -365,7 +360,7 @@ def _check_lex_complete_fibers():
 
 def _check_degree_ratio_bound():
     pools = [list(_regular(10, 5)), list(_regular(9, 4)), list(_regular(8, 3))]
-    pools.append([g for g in _all_graphs(7) if g.min_degree() >= 3])
+    pools.append([g for g in generate_all_graphs(7) if g.min_degree() >= 3])
     for pool in pools:
         for g in pool:
             for chk in bound_checks(g):

@@ -58,9 +58,12 @@ def _read_source(source: str) -> tuple[str, list]:
     workers receive these parsed graphs; an inline argument is one entry,
     stripped of surrounding whitespace as parse_lines strips a file line.
     A file or stdin is decoded as latin-1, so a byte outside graph6's
-    range fails only its own line.
+    range fails only its own line. A closed stdin is an OSError, as a
+    missing file is.
     """
     if source == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         return "stdin", list(parse_lines(sys.stdin.buffer.read().decode("latin-1")))
     if os.path.exists(source):
         with open(source, encoding="latin-1") as fh:

@@ -39,26 +39,6 @@ def test_all_graphs_counts():
         assert len(generate_all_graphs(n, connected_only=True)) == want
 
 
-def test_all_graphs_levels_built_once(monkeypatch):
-    # orders 1 to 7 in turn grow each representative of orders 1 to 6 once
-    grown = Counter()
-
-    def counted(g):
-        grown[g.n] += 1
-        return orbit_minima(g)
-
-    orbit_minima = catalog._orbit_minima
-    monkeypatch.setattr(catalog, "_orbit_minima", counted)
-    catalog._level.cache_clear()
-    try:
-        for n in range(1, ALL_GRAPHS_CAP + 1):
-            generate_all_graphs(n, connected_only=n % 2 == 0)
-            generate_all_graphs(n)
-    finally:
-        catalog._level.cache_clear()
-    assert [grown[n] for n in range(1, ALL_GRAPHS_CAP)] == ALL_COUNTS[:-1]
-
-
 def test_all_graphs_isomorph_free():
     cat = generate_all_graphs(5)
     assert len(set(cat.keys)) == len(cat)
@@ -67,10 +47,9 @@ def test_all_graphs_isomorph_free():
         assert canonical_key(g) == key
 
 
-# sha256 of the graph6 lines `domexc gen` prints, recorded before the
-# generators skipped any extension (regular (10, 4), (10, 5) and (12, 3):
-# while they still keyed every labelled graph); the first graph seen in
-# each class is the one kept, so a skip that changes it changes these bytes.
+# sha256 of the graph6 lines `domexc gen` prints. Orders 1 and 2 and
+# regular (10, 4), (10, 5) and (12, 3) were recorded before the generators
+# skipped any extension, while they still keyed every labelled graph.
 # Regular (9, 2), (10, 3), (11, 4) and the connected-regular entries were
 # recorded while generate_regular still completed many labelled graphs per
 # class and kept the first; the orderly generator must keep the same ones
@@ -79,14 +58,17 @@ CATALOG_SHA256 = {
     ("all", 1, True): "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46",
     ("all", 2, False): "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb",
     ("all", 2, True): "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9",
-    ("all", 3, False): "aefbaa12a956ed1f415fa897c455185134275a89a57ce1ef7d38f771c0d9129e",
-    ("all", 3, True): "5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129",
-    ("all", 4, False): "a38c483c05606caf1cf27e2fcb5a225d4001df8768275d678128bff91b970e61",
-    ("all", 4, True): "d7da485669f2dc74b81c02f18774a07430937684896833d59f138b10debb5005",
-    ("all", 5, False): "1f97862b2293152fba85bf967925d4982fc2d8a571b875eb0765a31b4fa7390b",
-    ("all", 5, True): "1a457b7398c4f1c73a4daf40c8683434545cf039548e8884c3063e29c4a78f66",
-    ("all", 6, False): "8c715fe2a456abbe89d3b8ab0733786f460102b7c88bd6f46c24f3d1924def32",
-    ("all", 6, True): "84ba795f972834084a7cb71c398177aa791d2c4ba5671785f74fb0fc0141c5ad",
+    # re-recorded when generate_all_graphs became orderly: each class is now
+    # kept in its lex-max labelling, not the first graph grown from the
+    # order below; its key list hashed the same before and after
+    ("all", 3, False): "a1680d75ef87e824903a43a0f5a4c37577b6945842554674563d48ca3cc90e3d",
+    ("all", 3, True): "e53a5e15924c562ea91b2e31166da62399d58c4af1027d8ef1aa54ab3235fac4",
+    ("all", 4, False): "c1cc56ec6713ec87751c99609f10783e62c4137859fb06daf248e8fcdc0da6ad",
+    ("all", 4, True): "0e985c9d32b5f7eae59993e5f23387776d3ba9c42f29e41031765976d9eb8cca",
+    ("all", 5, False): "5eaf7eb55a2c9d41fa6b5e925c264b947173963881cb2532a1ad9a6bfc982948",
+    ("all", 5, True): "f4c886efc955d94246e1333ba90edfeb2f6b641a79bbeaf09baed73ffff195bb",
+    ("all", 6, False): "3e365ee5d78da2f7197158758d9e43a92e8437cdc0dad7a3bd3f2c3f9def1a27",
+    ("all", 6, True): "3759f71a82414730d3db108cdffb4054d5bba4eee7febe42557563fe9905b4f6",
     ("regular", 8, 3): "456603852cf561dfbbeb80134e488e813a29e851e8e2f474bc58f7cfdd888e0d",
     ("regular", 9, 4): "bb7b37297cc5a36b97e237da3ccad94a789ee50464161beb47f14be305afa2fc",
     ("regular", 10, 4): "af12d708b047adb0ebc40434d234dfe05de419d4e215404a2e2a0da3434da239",
@@ -158,19 +140,24 @@ def lex_string(g: Graph, order) -> str:
     )
 
 
+def is_lex_max(g: Graph) -> bool:
+    own = lex_string(g, range(g.n))
+    return own == max(lex_string(g, p) for p in itertools.permutations(range(g.n)))
+
+
 def test_regular_keeps_lex_max_labelling_oracle():
     # the orderly test relies on this: each class keeps its lex-max labelling
     # (rows compared in turn, column 0 first, 1 beating 0), the first of its
     # class that the decreasing-lex row search completes
+    for n in range(1, 7):
+        assert all(is_lex_max(g) for g in generate_all_graphs(n))
     for n in range(1, 8):
         level = [g for g in generate_all_graphs(n) if g.is_regular()]
         for k in range(n):
             if n * k % 2:
                 continue
             cat = generate_regular(n, k)
-            for g in cat:
-                own = lex_string(g, range(n))
-                assert own == max(lex_string(g, p) for p in itertools.permutations(range(n)))
+            assert all(is_lex_max(g) for g in cat)
             want = {canonical_key(g) for g in level if g.degree(0) == k}
             assert set(cat.keys) == want
 
@@ -195,12 +182,14 @@ def beats_decided_rows(rows: list[int], v: int, order) -> bool:
 
 
 def test_lex_max_prefix_partial_oracle(monkeypatch):
-    # the generator's row choices are plain combinations, so the prefix test
-    # must reject every partial graph some relabelling beats; rows 0..v are
-    # decided and the undecided vertices are joined only to decided ones
+    # the generators' row choices are plain combinations or any subset, so
+    # the prefix test must reject every partial graph some relabelling beats;
+    # rows 0..v are decided and the undecided vertices are joined only to
+    # decided ones
     cases = [([10, 9, 0, 3], 2)]
     # every prefix generate_regular tests up to order 7: regular prefixes
-    # tie far more often than random ones, so they exercise tie unwinding
+    # tie far more often than random ones, so they exercise tie unwinding;
+    # then every prefix generate_all_graphs tests up to order 5
     tested = []
 
     def recorded(rows, v):
@@ -208,13 +197,20 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
         return lex_max_prefix(rows, v)
 
     lex_max_prefix = catalog._lex_max_prefix
+    per_order = []
     with monkeypatch.context() as m:
         m.setattr(catalog, "_lex_max_prefix", recorded)
         for n in range(1, 8):
             for k in range(n):
                 if n * k % 2 == 0:
                     generate_regular(n, k)
-    assert len(tested) > 200
+        assert len(tested) > 200
+        generate_all_graphs.cache_clear()
+        for n in range(1, 6):
+            before = len(tested)
+            generate_all_graphs(n)
+            per_order.append(len(tested) - before)
+    assert per_order == [1, 4, 14, 51, 194]
     cases += tested
     rng = random.Random(14)
     for _ in range(5000):
@@ -240,7 +236,7 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
 def test_regular_builds_one_graph_per_class(monkeypatch):
     # the orderly test prunes every labelled graph but one per class before
     # it is built (the search without it completes 2,883 here), so
-    # generate_regular never reaches ClassIndex.add
+    # neither generator reaches ClassIndex.add
     built = []
 
     def counted(*args):
@@ -248,13 +244,17 @@ def test_regular_builds_one_graph_per_class(monkeypatch):
         return built[-1]
 
     def refused(self, g):
-        raise AssertionError("generate_regular reached ClassIndex.add")
+        raise AssertionError("a generator reached ClassIndex.add")
 
     monkeypatch.setattr(catalog, "Graph", counted)
     monkeypatch.setattr(ClassIndex, "add", refused)
     cat = generate_regular(10, 5)
     assert len(cat) == 60
     assert len(built) == 60
+    built.clear()
+    generate_all_graphs.cache_clear()
+    assert len(generate_all_graphs(6)) == 156
+    assert len(built) == 156
 
 
 def test_regular_edge_cases():

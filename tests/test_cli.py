@@ -106,6 +106,16 @@ def test_non_ascii_line_is_an_error_entry(tmp_path, capsys, monkeypatch, command
         assert [rs[0]["graph6"], rs[2]["graph6"]] == ["C~", "Bw"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "family", "convert"])
+def test_closed_stdin_is_an_error(capsys, monkeypatch, command):
+    # a process started with stdin closed sees sys.stdin as None
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, command, "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: stdin is closed\n"
+
+
 class ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 
