@@ -2,17 +2,17 @@
 
 canonical_key computes a label-independent key for graphs of order at
 most 12: a backtracking placement search for the lexicographically
-smallest upper-triangle adjacency string over all vertex orderings.
-Each unplaced vertex carries its row against the placed prefix down the
-recursion. Exactness comes from prunings that never lose the optimum:
-at each position only rows achieving the locally minimal bit block are
-extended, and whole subtrees are cut once their block prefix exceeds the
-best complete string found so far. Symmetry is pruned as in McKay and
-Piperno's search (Practical graph isomorphism II, 2014): a leaf that
-ties the best string gives an automorphism, the search unwinds to where
-the two orderings part, and a candidate is skipped when an automorphism
-fixing the placed prefix maps an explored sibling onto it. Swapping two
-unplaced twins is such an automorphism, known before the search starts.
+smallest upper-triangle adjacency string over all vertex orderings. As
+in McKay and Piperno's search (Practical graph isomorphism II, 2014),
+the placed prefix is an ordered partition into cells of interchangeable
+vertices, so the orders within a cell are never searched apart. Only
+candidates whose block against the cells is minimal are extended, and a
+subtree is cut once its block prefix exceeds the best string so far. A
+leaf that ties the best string gives an automorphism. The search unwinds
+to where the two paths part when that automorphism maps one branch onto
+the other and fixes the cells there, and it skips a candidate that an
+automorphism fixing every cell maps an explored sibling onto. Swapping
+two unplaced twins is such an automorphism, known before the search.
 
 Isomorphism at every order up to 64 vertices is decided without keys, in
 the refine-then-match style of the same paper. Vertices start coloured
@@ -90,54 +90,70 @@ def _lex_min(g: Graph) -> int:
     The bits are built here, block by block, in the graph6 triangle
     layout: the block at depth d holds the adjacency of the vertex placed
     at d to those placed before it, first placed vertex most significant.
-    Each leaf whose string ties the best one gives an automorphism, kept
-    only to prune this search.
+    A cell holds placed vertices with the same neighbours among earlier
+    cells, pairwise all adjacent or all not. A candidate's block puts its
+    non-neighbours first in each cell, the least block any order of the
+    cells gives; placing it splits each cell into those, then the rest.
+    Candidates go from the highest index down, and one interchangeable
+    with the last cell joins it only below every member, so each such set
+    is reached once; any other opens a new cell. A tie's automorphism is
+    read off the two leaves' cells, each in placement order.
     """
     n = g.n
     adj = g.adj
     twins = _twin_classes(g)
-    order = [0] * n
+    path = [0] * n  # path[d]: the vertex placed at depth d
     blocks = [0] * n
+    node_cells: list[list[int]] = [[]] * n  # node_cells[d]: the cells of the node at depth d
     best_blocks: list[int] = []
-    best_order: list[int] = []
-    autos: list[tuple[tuple[int, ...], int]] = []  # (permutation, fixed-point mask)
+    best_path: list[int] = []
+    best_flat: list[int] = []
+    autos: list[list[int]] = []
 
-    def place(depth: int, placed: int, unplaced: list[int], rows: list[int], tight: bool) -> int:
+    def flat(cells: list[int]) -> list[int]:
+        return [v for cell in cells for v in path if cell >> v & 1]
+
+    def fixes(perm: list[int], cells: list[int]) -> bool:
+        return all(cell >> perm[v] & 1 for cell in cells for v in iter_bits(cell))
+
+    def place(depth: int, placed: int, cells: list[int], unplaced: list[int], tight: bool) -> int:
         """Search below a placed prefix; returns the depth to resume at.
 
-        rows[k] is the adjacency of unplaced[k] to order[:depth], first
-        placed vertex most significant. tight means blocks[:depth] equals
-        best_blocks[:depth]; otherwise the prefix is strictly smaller or
-        no leaf exists yet. A return value below depth unwinds the
-        recursion to the node at that depth.
+        tight means blocks[:depth] equals best_blocks[:depth]; otherwise
+        the prefix is strictly smaller or no leaf exists yet. A return
+        value below depth unwinds the recursion to the node at that depth.
         """
-        nonlocal best_blocks, best_order
+        nonlocal best_blocks, best_path, best_flat
         if depth == n:
             if not tight:
-                best_blocks = blocks.copy()
-                best_order = order.copy()
+                best_blocks, best_path, best_flat = blocks.copy(), path.copy(), flat(cells)
                 return n
-            # a tie: best_order[i] -> order[i] preserves every adjacency
-            perm = [0] * n
-            fixed = 0
-            first = n
-            for i in range(n):
-                a, b = best_order[i], order[i]
-                perm[a] = b
-                if a == b:
-                    fixed |= 1 << a
-                elif first == n:
-                    first = i
-            autos.append((tuple(perm), fixed))
-            # the subtree below order[:first + 1] mirrors the one below
-            # best_order[:first + 1], already searched
-            return first
+            # a tie: best_flat[i] -> flat(cells)[i] preserves every adjacency
+            perm = [b for _, b in sorted(zip(best_flat, flat(cells)))]
+            autos.append(perm)
+            # the subtree below this path's vertex at the parting depth f
+            # mirrors best's, already searched, when perm maps best's
+            # vertex there onto this one and fixes the cells of node f
+            f = next(d for d in range(n) if best_path[d] != path[d])
+            return f if perm[best_path[f]] == path[f] and fixes(perm, node_cells[f]) else n
+        node_cells[depth] = cells
+        rows = []
+        for c in unplaced:
+            row = 0
+            for cell in cells:
+                row = row << cell.bit_count() | (1 << (adj[c] & cell).bit_count()) - 1
+            rows.append(row)
         low = min(rows)
         if tight:
             if low > best_blocks[depth]:
                 return n
             tight = low == best_blocks[depth]
         blocks[depth] = low
+        joining: tuple[int, ...] = ()  # placed rows interchangeable with the last cell
+        if depth:
+            last, m = cells[-1], path[depth - 1]  # m, the last placed, is the cell's least
+            tie, bit = adj[m] & placed, 1 << m
+            joining = (tie, tie | bit) if last == bit else (tie | bit if tie & last else tie,)
         explored: list[int] = []
         seen_twins: set[int] = set()
         orbits: list[int] | None = None
@@ -145,39 +161,40 @@ def _lex_min(g: Graph) -> int:
         for k, c in enumerate(unplaced):
             if rows[k] != low or twins[c] in seen_twins:
                 continue
-            if used < len(autos):
-                # merge orbits under the new automorphisms that fix order[:depth]
-                if orbits is None:
-                    orbits = list(range(n))
+            joins = adj[c] & placed in joining
+            if joins and c > m:
+                # reached with the cell's members added in decreasing order;
+                # c's lower twins mirror that set
+                seen_twins.add(twins[c])
+                continue
+            # merge orbits under the new automorphisms that fix every cell
+            for perm in autos[used:]:
+                if fixes(perm, cells):
+                    if orbits is None:
+                        orbits = twins.copy()  # the twin classes, a forest of depth one
                     for v in range(n):
-                        orbits[_find(orbits, v)] = _find(orbits, twins[v])
-                for perm, fixed in autos[used:]:
-                    if placed & ~fixed == 0:
-                        for v in range(n):
-                            orbits[_find(orbits, v)] = _find(orbits, perm[v])
-                used = len(autos)
+                        orbits[_find(orbits, v)] = _find(orbits, perm[v])
+            used = len(autos)
             if orbits is not None:
                 root = _find(orbits, c)
                 if any(_find(orbits, e) == root for e in explored):
                     continue
             seen_twins.add(twins[c])
             explored.append(c)
-            order[depth] = c
-            row_c = adj[c]
-            back = place(
-                depth + 1,
-                placed | 1 << c,
-                [v for v in unplaced if v != c],
-                [r << 1 | (row_c >> v & 1) for v, r in zip(unplaced, rows) if v != c],
-                tight,
-            )
+            path[depth] = c
+            if joins:
+                child = cells[:-1] + [last | 1 << c]
+            else:
+                child = [part for cell in cells for part in (cell & ~adj[c], cell & adj[c]) if part]
+                child.append(1 << c)
+            back = place(depth + 1, placed | 1 << c, child, [v for v in unplaced if v != c], tight)
             if back < depth:
                 return back
             # a leaf below c now shares blocks[:depth + 1]
             tight = True
         return n
 
-    place(0, 0, list(range(n)), [0] * n, False)
+    place(0, 0, [], list(range(n - 1, -1, -1)), False)
     bits = 0
     for depth, block in enumerate(best_blocks):
         bits = bits << depth | block

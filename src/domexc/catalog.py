@@ -173,18 +173,27 @@ def _orderly(n: int, row_options, connected_only: bool) -> list[Graph]:
 
 
 @lru_cache(maxsize=None)
+def _all_graphs(n: int) -> Catalog:
+    """Every graph of order n, built once per process."""
+    graphs = _orderly(n, lambda rows, v: range(0, 1 << n, 1 << v + 1), False)
+    return _sorted_catalog(f"generated:all:n={n}:connected=false", graphs)
+
+
 def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
     """Every graph of order n up to isomorphism, each in its lex-max labelling.
 
     The orderly search of _orderly with every subset of the later vertices
     as a row: the multiples of 1 << v + 1 below 1 << n. Capped at order 7.
-    Each catalog is built once per process.
+    The full catalog is built once per order; the connected one is its
+    connected subsequence, already in key order.
     """
     if not 1 <= n <= ALL_GRAPHS_CAP:
         raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
-    graphs = _orderly(n, lambda rows, v: range(0, 1 << n, 1 << v + 1), connected_only)
-    src = f"generated:all:n={n}:connected={str(connected_only).lower()}"
-    return _sorted_catalog(src, graphs)
+    cat = _all_graphs(n)
+    if not connected_only:
+        return cat
+    graphs, keys = zip(*[(g, key) for g, key in zip(cat.graphs, cat.keys) if g.is_connected()])
+    return Catalog(f"generated:all:n={n}:connected=true", graphs, keys)
 
 
 def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:

@@ -292,6 +292,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.kind != "regular" and args.k is not None:
+        print(f"error: gen {args.kind} takes only N", file=sys.stderr)
+        return 2
     try:
         if args.kind == "trees":
             graphs = enumerate_trees(args.n)

@@ -1,5 +1,6 @@
 """Canonical keys, isomorphism, induced copies, tree keys."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -20,12 +21,13 @@ from domexc.canon import (
     iter_induced_copies,
     tree_key,
 )
-from domexc.catalog import generate_all_graphs
-from domexc.graph6 import to_graph6
+from domexc.catalog import generate_all_graphs, generate_regular
+from domexc.graph6 import from_graph6, to_graph6
 from domexc.graphs import (
     cartesian_product,
     complete,
     complete_multipartite,
+    corona1,
     cycle,
     disjoint_union,
     edgeless,
@@ -78,6 +80,10 @@ SYMMETRIC = {
     "K2xK4": cartesian_product(complete(2), complete(4)),
     "co(K2xK4)": cartesian_product(complete(2), complete(4)).complement(),
     "E4+K4": disjoint_union([edgeless(4), complete(4)]),
+    # as built, unwinding at every parting depth of a tie loses the minimum
+    "FsX_o": from_graph6("FsX_o"),
+    "4K2": disjoint_union([complete(2)] * 4),
+    "K2,2,2,2": complete_multipartite([2, 2, 2, 2]),
 }
 
 
@@ -86,8 +92,67 @@ def test_canonical_key_is_lex_min_symmetric(name):
     # large automorphism groups drive the orbit pruning and the unwinding
     g = SYMMETRIC[name]
     want = brute_key(g)
+    assert canonical_key(g).bits == want
     for seed in (0, 1, 2):
         assert canonical_key(shuffled(g, seed)).bits == want
+
+
+ORDER_12 = {
+    **{f"corona1(T6#{i})": corona1(t) for i, t in enumerate(enumerate_trees(6))},
+    "6K2": disjoint_union([complete(2)] * 6),
+    "4K3": disjoint_union([complete(3)] * 4),
+    "3K4": disjoint_union([complete(4)] * 3),
+    "K2,2,2,2,2,2": complete_multipartite([2] * 6),
+    "K3xK4": cartesian_product(complete(3), complete(4)),
+    "C12": cycle(12),
+    # relabelled, a tie here maps best's branch at the parting depth onto
+    # its own without fixing that node's cells, so it must not unwind
+    "C3xC4": cartesian_product(cycle(3), cycle(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_12))
+def test_canonical_key_order_12_symmetric(name):
+    # past brute force: invariance under relabelling and a fixed representative
+    g = ORDER_12[name]
+    key = canonical_key(g)
+    for seed in range(5):
+        assert canonical_key(shuffled(g, seed)) == key
+    assert canonical_key(key.graph()) == key
+
+
+def _bits_digest(keys) -> str:
+    return hashlib.sha256(",".join(str(k.bits) for k in keys).encode()).hexdigest()
+
+
+# sha256 of the comma-joined IsoKey.bits, recorded before the lex-min search
+# held its placed prefix as cells; catalogs list their keys in catalog order
+KEY_SHA256 = {
+    "regular(9,4)": "e6e33c5144fe1246495bfcbab175b7584f0c91ab15033920c31124fee94c9b2a",
+    "regular(10,4)": "a38349346e946d79682dd9a757c364343114e7661721b3bdfbaa99245209fc8c",
+    "regular(11,4)": "96c2255e0929b046f8546b8e0b6da9858751603f4a73dfbf2f48edc7a1002926",
+    "regular(12,3)": "cfea48d362cde9f45d39fae02f9b2ce4f3bbe5407f69144095735a3e6d6f2e18",
+    "connected-regular(10,3)": "40b58102965c60fcfd08190348caef86482e4bbbcfe43d5cd50b2121e4907554",
+    "random(9..12)": "9eaff6cfc731d773e224800d150856723f800fe4c40e2caeaa1637a829e2c578",
+}
+
+
+def _keys_for(spec: str):
+    if spec == "random(9..12)":
+        rng = random.Random(17)
+        graphs = []
+        for _ in range(200):
+            n = rng.randint(9, 12)
+            graphs.append(random_graph(n, rng.getrandbits(n * (n - 1) // 2)))
+        return [canonical_key(g) for g in graphs]
+    kind, args = spec.rstrip(")").split("(")
+    n, k = map(int, args.split(","))
+    return generate_regular(n, k, connected_only=kind == "connected-regular").keys
+
+
+@pytest.mark.parametrize("spec", sorted(KEY_SHA256))
+def test_key_bits_pinned(spec):
+    assert _bits_digest(_keys_for(spec)) == KEY_SHA256[spec]
 
 
 def test_exhaustive_small_orders():

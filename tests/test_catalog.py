@@ -205,7 +205,7 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
                 if n * k % 2 == 0:
                     generate_regular(n, k)
         assert len(tested) > 200
-        generate_all_graphs.cache_clear()
+        catalog._all_graphs.cache_clear()
         for n in range(1, 6):
             before = len(tested)
             generate_all_graphs(n)
@@ -252,9 +252,31 @@ def test_regular_builds_one_graph_per_class(monkeypatch):
     assert len(cat) == 60
     assert len(built) == 60
     built.clear()
-    generate_all_graphs.cache_clear()
+    catalog._all_graphs.cache_clear()
     assert len(generate_all_graphs(6)) == 156
     assert len(built) == 156
+
+
+def test_all_graphs_built_once_per_order(monkeypatch):
+    # every call form shares one cache entry, the full catalog of the order
+    calls = []
+    orderly = catalog._orderly
+
+    def counted(n, *args):
+        calls.append(n)
+        return orderly(n, *args)
+
+    monkeypatch.setattr(catalog, "_orderly", counted)
+    catalog._all_graphs.cache_clear()
+    cats = [
+        generate_all_graphs(5),
+        generate_all_graphs(5, False),
+        generate_all_graphs(5, connected_only=False),
+        generate_all_graphs(5, connected_only=True),
+    ]
+    assert calls == [5]
+    assert cats[0] is cats[1] is cats[2]
+    assert [g for g in cats[0] if g.is_connected()] == list(cats[3].graphs)
 
 
 def test_regular_edge_cases():

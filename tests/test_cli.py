@@ -350,6 +350,10 @@ def test_gen_errors(capsys):
     assert code == 2 and "even" in err
     code, _, err = run(capsys, "gen", "all", "9")
     assert code == 2
+    code, out, err = run(capsys, "gen", "all", "3", "5")
+    assert code == 2 and out == "" and "error: gen all takes only N" in err
+    code, out, err = run(capsys, "gen", "trees", "3", "2")
+    assert code == 2 and out == "" and "error: gen trees takes only N" in err
 
 
 def test_search_pattern(capsys):
