@@ -8,16 +8,17 @@ is a mask of later vertices (every subset, or a combination with degree
 left), and a row-by-row lex-max test prunes every labelled graph but one
 per class before it is built, so no index is needed. Each class is kept
 in its lex-max labelling. That test's only symmetry pruning is tie
-unwinding; it keeps no automorphisms and prunes no orbits. A loaded file
-is deduplicated through a canon.ClassIndex, keeping each class's first
-line.
+unwinding; it keeps no automorphisms and prunes no orbits. Each full
+catalog is built once per process, per n for all graphs and per (n, k)
+for regular ones; a connected catalog is the connected subsequence of
+the full one. A loaded file is deduplicated through a canon.ClassIndex,
+keeping each class's first line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -134,7 +135,7 @@ def _lex_max_prefix(rows: list[int], v: int) -> bool:
     return place(0, [(1 << n) - 1]) >= 0
 
 
-def _orderly(n: int, row_options, connected_only: bool) -> list[Graph]:
+def _orderly(n: int, row_options) -> list[Graph]:
     """The lex-max labelling of every class of order n the rows allow.
 
     An orderly search (Read, Every one a winner, 1978; Meringer 1999).
@@ -145,7 +146,7 @@ def _orderly(n: int, row_options, connected_only: bool) -> list[Graph]:
     (_lex_max_prefix). The lex-max labelling of each class passes every
     such test, and at the last row the test is exact, so each leaf is the
     lex-max labelling of a new class, whatever order the options come in.
-    One Graph is built per leaf; connected_only drops the disconnected ones.
+    One Graph is built per leaf.
     """
     graphs: list[Graph] = []
     rows = [0] * n
@@ -154,9 +155,7 @@ def _orderly(n: int, row_options, connected_only: bool) -> list[Graph]:
         if v and not _lex_max_prefix(rows, v - 1):
             return
         if v == n:
-            g = Graph(n, tuple(rows))
-            if not connected_only or g.is_connected():
-                graphs.append(g)
+            graphs.append(Graph(n, tuple(rows)))
             return
         before = rows[v]
         for mask in row_options(rows, v):
@@ -172,11 +171,20 @@ def _orderly(n: int, row_options, connected_only: bool) -> list[Graph]:
     return graphs
 
 
-@lru_cache(maxsize=None)
-def _all_graphs(n: int) -> Catalog:
-    """Every graph of order n, built once per process."""
-    graphs = _orderly(n, lambda rows, v: range(0, 1 << n, 1 << v + 1), False)
-    return _sorted_catalog(f"generated:all:n={n}:connected=false", graphs)
+_FULL_CATALOGS: dict[str, Catalog] = {}
+
+
+def _generated(spec: str, n: int, row_options, connected_only: bool) -> Catalog:
+    """The full catalog spec names, built once per process, or its connected subsequence."""
+    full = _FULL_CATALOGS.get(spec)
+    if full is None:
+        graphs = _orderly(n, row_options)
+        full = _FULL_CATALOGS[spec] = _sorted_catalog(f"generated:{spec}:connected=false", graphs)
+    if not connected_only:
+        return full
+    kept = [i for i, g in enumerate(full.graphs) if g.is_connected()]
+    graphs = tuple(full.graphs[i] for i in kept)
+    return Catalog(f"generated:{spec}:connected=true", graphs, tuple(full.keys[i] for i in kept))
 
 
 def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
@@ -189,11 +197,7 @@ def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
     """
     if not 1 <= n <= ALL_GRAPHS_CAP:
         raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
-    cat = _all_graphs(n)
-    if not connected_only:
-        return cat
-    graphs, keys = zip(*[(g, key) for g, key in zip(cat.graphs, cat.keys) if g.is_connected()])
-    return Catalog(f"generated:all:n={n}:connected=true", graphs, keys)
+    return _generated(f"all:n={n}", n, lambda rows, v: range(0, 1 << n, 1 << v + 1), connected_only)
 
 
 def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
@@ -206,7 +210,9 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
     swaps interchangeable later columns of a larger one. Each class is
     kept in its lex-max labelling, the first of its class the search would
     complete, and the catalog keys only those. An Erdos-Gallai check drops
-    rows whose residual degrees have no realization.
+    rows whose residual degrees have no realization. The full catalog is
+    built once per (n, k); the connected one is its connected subsequence,
+    already in key order.
     """
     if not 0 <= k < n <= REGULAR_CAP:
         raise ValueError(f"need 0 <= degree < order <= {REGULAR_CAP}")
@@ -223,9 +229,7 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
             if _residual_realizable(left):
                 yield sum(1 << w for w in chosen)
 
-    graphs = _orderly(n, degree_bounded, connected_only)
-    src = f"generated:regular:n={n}:k={k}:connected={str(connected_only).lower()}"
-    return _sorted_catalog(src, graphs)
+    return _generated(f"regular:n={n}:k={k}", n, degree_bounded, connected_only)
 
 
 def save_catalog(cat: Catalog, path) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial
 from math import ceil
 from typing import Callable
 
@@ -84,11 +84,6 @@ class ClaimReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-@lru_cache(maxsize=None)
-def _regular(n: int, k: int, connected: bool = False):
-    return generate_regular(n, k, connected_only=connected)
 
 
 def _names(g: Graph, param: Param) -> list[str]:
@@ -359,7 +354,7 @@ def _check_lex_complete_fibers():
 
 
 def _check_degree_ratio_bound():
-    pools = [list(_regular(10, 5)), list(_regular(9, 4)), list(_regular(8, 3))]
+    pools = [list(generate_regular(n, k)) for n, k in ((10, 5), (9, 4), (8, 3))]
     pools.append([g for g in generate_all_graphs(7) if g.min_degree() >= 3])
     for pool in pools:
         for g in pool:
@@ -369,7 +364,7 @@ def _check_degree_ratio_bound():
 
 
 def _check_five_regular_order_ten():
-    cat = _regular(10, 5)
+    cat = generate_regular(10, 5)
     values = sorted({param_value(g, Param.GAMMA) for g in cat})
     expected = {"count": 60, "gamma_values": [2]}
     computed = {"count": len(cat), "gamma_values": values}
@@ -378,7 +373,7 @@ def _check_five_regular_order_ten():
 
 def _check_four_regular_nine_count():
     expected = {"count": 16}
-    computed = {"count": len(_regular(9, 4))}
+    computed = {"count": len(generate_regular(9, 4))}
     return expected, computed, expected == computed
 
 
@@ -387,14 +382,14 @@ def _pattern_hits(cat, pattern: Graph):
 
 
 def _check_four_regular_nine_survey():
-    hits = _pattern_hits(_regular(9, 4), complete(3))
+    hits = _pattern_hits(generate_regular(9, 4), complete(3))
     expected = {"count": 2}
     computed = {"count": len(hits), "graph6": [to_graph6(h.graph) for h in hits]}
     return expected, computed, computed["count"] == expected["count"]
 
 
 def _check_four_regular_nine_product():
-    hits = _pattern_hits(_regular(9, 4), complete(3))
+    hits = _pattern_hits(generate_regular(9, 4), complete(3))
     kk = canonical_key(cartesian_product(complete(3), complete(3)))
     expected = {"product_matches": 1}
     computed = {"product_matches": sum(1 for h in hits if h.key == kk)}
@@ -403,7 +398,7 @@ def _check_four_regular_nine_product():
 
 def _check_regular_order_bound():
     for n, k in [(9, 4), (8, 3), (10, 4)]:
-        for h in _pattern_hits(_regular(n, k), complete(3)):
+        for h in _pattern_hits(generate_regular(n, k), complete(3)):
             if not h.graph.is_connected() or h.values.get("gamma") != 3:
                 continue
             if h.graph.n > 3 * (k - 1):
@@ -509,7 +504,7 @@ def _check_bridge_pairs():
 
 
 def _check_five_regular_twelve_search():
-    cat = _regular(12, 5, connected=True)
+    cat = generate_regular(12, 5, connected_only=True)
     hits = _pattern_hits(cat, complete(3))
     expected = {"min_matches": 1}
     computed = {

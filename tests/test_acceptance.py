@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from domexc import claims
 from domexc.canon import are_isomorphic
 from domexc.catalog import generate_all_graphs, generate_regular
 from domexc.claims import run_claim
@@ -307,9 +306,10 @@ def test_criterion_15_five_regular_order_twelve():
         "K?DjdUsqmi^?",
         "K?LRdMsqmq\\_",
     ]
-    # sha256 of the graph6 lines of the catalog the claim searched (cached),
-    # recorded while generate_regular still deduplicated through ClassIndex
-    text = "".join(to_graph6(g) + "\n" for g in claims._regular(12, 5, True).graphs)
+    # sha256 of the graph6 lines of the catalog the claim searched, recorded
+    # while generate_regular still deduplicated through ClassIndex
+    cat = generate_regular(12, 5, connected_only=True)
+    text = "".join(to_graph6(g) + "\n" for g in cat.graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "fe597dfa6d08d7ed3cae609d6f30fcb4da8cf2a4f21cf1128f7bdda1a0613f34"
     )

@@ -200,12 +200,12 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
     per_order = []
     with monkeypatch.context() as m:
         m.setattr(catalog, "_lex_max_prefix", recorded)
+        catalog._FULL_CATALOGS.clear()
         for n in range(1, 8):
             for k in range(n):
                 if n * k % 2 == 0:
                     generate_regular(n, k)
         assert len(tested) > 200
-        catalog._all_graphs.cache_clear()
         for n in range(1, 6):
             before = len(tested)
             generate_all_graphs(n)
@@ -248,41 +248,51 @@ def test_regular_builds_one_graph_per_class(monkeypatch):
 
     monkeypatch.setattr(catalog, "Graph", counted)
     monkeypatch.setattr(ClassIndex, "add", refused)
+    catalog._FULL_CATALOGS.clear()
     cat = generate_regular(10, 5)
     assert len(cat) == 60
     assert len(built) == 60
     built.clear()
-    catalog._all_graphs.cache_clear()
     assert len(generate_all_graphs(6)) == 156
     assert len(built) == 156
 
 
-def test_all_graphs_built_once_per_order(monkeypatch):
-    # every call form shares one cache entry, the full catalog of the order
+@pytest.mark.parametrize(
+    "generate, args, spec",
+    [(generate_all_graphs, (5,), "all:n=5"), (generate_regular, (8, 3), "regular:n=8:k=3")],
+    ids=["all", "regular"],
+)
+def test_catalog_built_once(monkeypatch, generate, args, spec):
+    # every call form shares one cache entry, the full catalog of n (and k)
     calls = []
     orderly = catalog._orderly
 
-    def counted(n, *args):
+    def counted(n, *rest):
         calls.append(n)
-        return orderly(n, *args)
+        return orderly(n, *rest)
 
     monkeypatch.setattr(catalog, "_orderly", counted)
-    catalog._all_graphs.cache_clear()
-    cats = [
-        generate_all_graphs(5),
-        generate_all_graphs(5, False),
-        generate_all_graphs(5, connected_only=False),
-        generate_all_graphs(5, connected_only=True),
-    ]
-    assert calls == [5]
-    assert cats[0] is cats[1] is cats[2]
-    assert [g for g in cats[0] if g.is_connected()] == list(cats[3].graphs)
+    catalog._FULL_CATALOGS.clear()
+    full = [generate(*args), generate(*args, False), generate(*args, connected_only=False)]
+    connected = [generate(*args, True), generate(*args, connected_only=True)]
+    assert calls == [args[0]]
+    assert full[0] is full[1] is full[2]
+    kept = [(g, key) for g, key in zip(full[0].graphs, full[0].keys) if g.is_connected()]
+    for cat in connected:
+        assert list(zip(cat.graphs, cat.keys)) == kept
+        assert cat.source == f"generated:{spec}:connected=true"
 
 
 def test_regular_edge_cases():
     assert len(generate_regular(5, 0)) == 1
     assert len(generate_regular(6, 5)) == 1
     assert to_graph6(generate_regular(6, 5).graphs[0]) == to_graph6(complete(6))
+    # connected subsequences with no graph or one
+    for n, k in ((4, 0), (6, 1)):
+        cat = generate_regular(n, k, connected_only=True)
+        assert isinstance(cat, Catalog) and cat.graphs == cat.keys == ()
+        assert cat.source == f"generated:regular:n={n}:k={k}:connected=true"
+    assert len(generate_regular(1, 0, True)) == len(generate_regular(2, 1, True)) == 1
 
 
 def test_generation_caps():

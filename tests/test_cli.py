@@ -356,6 +356,15 @@ def test_gen_errors(capsys):
     assert code == 2 and out == "" and "error: gen trees takes only N" in err
 
 
+def test_empty_connected_catalog(capsys):
+    code, out, _ = run(capsys, "gen", "regular", "4", "0", "--connected")
+    assert code == 0 and out == ""
+    code, out, _ = run(
+        capsys, "search", "--gen", "regular:4:0", "--connected", "--output", "text"
+    )
+    assert code == 0 and "0 of 0 matched" in out
+
+
 def test_search_pattern(capsys):
     code, payload, _ = run_json(
         capsys,
