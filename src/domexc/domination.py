@@ -13,9 +13,14 @@ restrained variants also force at every node: a vertex outside the set
 whose neighbours all lie in it must join, and when it is banned the
 branch ends; a set that reaches the target size with nothing forced is
 restrained. An outer-connected set that leaves two or more vertices
-outside is restrained too, so those sizes force the same way. The sizes
-are tried in turn and at the first feasible one every satisfying set is
-collected.
+outside is restrained too, so those sizes force the same way. The
+outer-connected variants also cut on the outside's connectivity: below
+size n the outside of a set is nonempty and connected, and the banned
+vertices never join the set, so the whole outside lies in the component
+of what the partial set leaves that holds the least banned vertex. A
+banned vertex outside that component ends the branch, and every vertex
+outside it is forced in. The sizes are tried in turn and at the first
+feasible one every satisfying set is collected.
 Independent domination is closed-neighborhood domination plus
 independence: its search only adds vertices that are not yet covered,
 so every partial set stays independent. The maximum independent sets are
@@ -152,10 +157,15 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     and none of the siblings before it, so the children split their
     parent's sets and every set is reached along one path. Forcing keeps
     the split: a forced vertex lies in every set below the node, and a
-    forced banned vertex leaves the node no sets at all. For independent
-    parameters a partial set that already dominates is a maximal
-    independent set, so it is never completed: it is a hit only when its
-    size is k.
+    forced banned vertex leaves the node no sets at all. Restrained
+    forcing takes the outside vertices with no outside neighbour. For the
+    outer-connected parameters below k = n the banned vertices outside
+    the set lie in the final outside, which is connected, so the node
+    forces every vertex outside the component of the outside that holds
+    the least of them, and has no sets when they are not all in it. One
+    round of both rules is their fixpoint. For independent parameters a
+    partial set that already dominates is a maximal independent set, so
+    it is never completed: it is a hit only when its size is k.
     """
     full, adj = g.full_mask, g.adj
     if param.open_cover:
@@ -166,6 +176,8 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     # a connected outside of two or more vertices gives each outside vertex
     # an outside neighbour, so those outer-connected sets force as well
     forcing = param.restrained or (param.outer_connected and k <= g.n - 2)
+    # below k = n an outer-connected outside is nonempty and connected
+    cutting = param.outer_connected and k < g.n
     plain = not param.outer_connected
     # covered is the closed neighborhood of the set, so only uncovered
     # candidates keep it independent
@@ -173,17 +185,28 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     results: list[int] = []
 
     def dfs(s: int, covered: int, banned: int) -> bool:
-        # an outside vertex whose neighbours all lie in the set has no
-        # outside neighbour, so a restrained superset must take it
-        while forcing:
+        # one round of both rules is their fixpoint: the first takes the
+        # isolated vertices of the outside and the second whole components
+        # of it, and neither leaves a vertex that either rule would take
+        if forcing or cutting:
+            outside = full & ~s
             forced = 0
-            for v in iter_bits(full & ~s):
-                if not adj[v] & ~s:
-                    forced |= 1 << v
-            if not forced:
-                break
-            if forced & banned:
-                return False
+            if forcing:
+                # an outside vertex with no outside neighbour has none in
+                # any superset either, so a restrained superset must take it
+                for v in iter_bits(outside):
+                    if not adj[v] & outside:
+                        forced |= 1 << v
+                if forced & banned:
+                    return False
+            home = banned & outside if cutting else 0
+            if home:
+                # banned vertices stay outside, and a connected outside
+                # lies in the component of this one that holds them
+                comp = g.reach(home & -home, outside)
+                if home & ~comp:
+                    return False
+                forced |= outside & ~comp
             s |= forced
             for v in iter_bits(forced):
                 covered |= foot[v]

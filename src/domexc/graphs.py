@@ -125,7 +125,8 @@ class Graph:
         allowed = self.full_mask if within is None else within
         seen = start_mask & allowed
         frontier = seen
-        while frontier:
+        # once everything allowed is seen the last frontier adds nothing
+        while frontier and seen != allowed:
             grow = 0
             for v in iter_bits(frontier):
                 grow |= self.adj[v]

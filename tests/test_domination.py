@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from itertools import product
 
 import pytest
@@ -35,6 +36,9 @@ from domexc.graphs import (
 )
 from helpers import random_graph
 from oracles import brute
+
+
+OUTER_CONNECTED_PARAMS = (Param.OUTER_CONNECTED, Param.TOTAL_OUTER_CONNECTED)
 
 
 def oracle_agrees(g, pid):
@@ -160,13 +164,78 @@ def test_restrained_completion_by_forcing():
 
 def test_outer_connected_cycles():
     # the outside of an optimal set is one run of two vertices, so the
-    # optimal sets are the n rotations of one set
-    for n, par in ((18, Param.OUTER_CONNECTED), (16, Param.TOTAL_OUTER_CONNECTED)):
+    # optimal sets are the n rotations of one set: a connected outside of a
+    # cycle is a run, a run of three or more has a middle vertex with no
+    # neighbour in the set, and beside a run of two the set is a path of
+    # n - 2 >= 2 vertices, so it is also total; C40 and C60 finish only
+    # because the search cuts on the outside's connectivity
+    cases = ((18, Param.OUTER_CONNECTED), (16, Param.TOTAL_OUTER_CONNECTED))
+    for n, par in cases + tuple(product((40, 60), OUTER_CONNECTED_PARAMS)):
         g = cycle(n)
         res = min_sets(g, par)
         first = res.sets[0]
         rotations = {(first << r | first >> (n - r)) & g.full_mask for r in range(n)}
         assert (res.value, len(res.sets), set(res.sets)) == (n - 2, n, rotations)
+
+
+def test_outer_connected_closed_forms():
+    # P40: as on a cycle the outside is a run of at most two vertices, now
+    # {i, i + 1} for 0 <= i <= n - 2, so the value is n - 2; an end vertex
+    # has its only neighbour in the run when i = 0 or n - 2, which leaves
+    # n - 3 sets, and for the total parameter the end vertex beside the run
+    # has its only neighbour outside when i = 1 or n - 3, which leaves n - 5
+    n = 40
+    g = path(n)
+    runs = {Param.OUTER_CONNECTED: range(1, n - 2), Param.TOTAL_OUTER_CONNECTED: range(2, n - 3)}
+    for par, starts in runs.items():
+        want = tuple(sorted(g.full_mask & ~(0b11 << i) for i in starts))
+        assert min_sets(g, par) == ParamResult(par, n - 2, want)
+        assert param_value(g, par) == n - 2
+    # k*K3: a connected outside lies in one triangle and cannot be all of
+    # it, whose vertices would have no neighbour in the set; two vertices
+    # of it are dominated by the third, so gamma_oc = 3k - 2 with 3 pairs
+    # in each of k triangles; for the total parameter that third vertex
+    # would have no neighbour in the set, so the outside is one vertex and
+    # gamma_t_oc = 3k - 1 with 3k sets
+    for k in (8, 12):
+        g = disjoint_union([complete(3)] * k)
+        for par, outside in ((Param.OUTER_CONNECTED, 2), (Param.TOTAL_OUTER_CONNECTED, 1)):
+            res = min_sets(g, par)
+            assert (res.value, len(res.sets)) == (3 * k - outside, 3 * k)
+            assert param_value(g, par) == 3 * k - outside
+            assert all((g.full_mask & ~s).bit_count() == outside for s in res.sets)
+
+
+def _forest(n, rng):
+    # a random tree with about a third of its edges dropped
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    return from_edges(n, [e for e in edges if rng.random() < 0.67])
+
+
+def _sparse(n, rng):
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    return from_edges(n, rng.sample(pairs, n - 2 + rng.randrange(0, 4)))
+
+
+def _cliques(n, rng):
+    parts, left = [], n
+    while left:
+        size = min(left, rng.randrange(1, 5))
+        parts.append(complete(size))
+        left -= size
+    return disjoint_union(parts)
+
+
+@pytest.mark.parametrize("build, seed", ((_forest, 1), (_sparse, 2), (_cliques, 3)))
+def test_outer_connected_oracle_disconnected(build, seed):
+    # graphs with several components or long induced paths, where a partial
+    # set splits what it leaves and the search cuts on the outside's
+    # connectivity
+    rng = random.Random(seed)
+    for _ in range(13):
+        g = build(rng.randrange(8, 12), rng)
+        for par in OUTER_CONNECTED_PARAMS:
+            oracle_agrees(g, par.id)
 
 
 def test_total_undefined_with_isolates():
