@@ -10,9 +10,8 @@ candidates whose block against the cells is minimal are extended, and a
 subtree is cut once its block prefix exceeds the best string so far. A
 leaf that ties the best string gives an automorphism. The search unwinds
 to where the two paths part when that automorphism maps one branch onto
-the other and fixes the cells there, and it skips a candidate that an
-automorphism fixing every cell maps an explored sibling onto. Swapping
-two unplaced twins is such an automorphism, known before the search.
+the other and fixes the cells there; no automorphism is kept. Of two
+unplaced twins only one is tried, as swapping them is an automorphism.
 
 Isomorphism at every order up to 64 vertices is decided without keys, in
 the refine-then-match style of the same paper. Vertices start coloured
@@ -76,14 +75,6 @@ def _twin_classes(g: Graph) -> list[int]:
     return cls
 
 
-def _find(parent: list[int], v: int) -> int:
-    """Root of v in a union-find forest, halving the path on the way."""
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
 def _lex_min(g: Graph) -> int:
     """Lex-min adjacency bits of g.
 
@@ -97,7 +88,9 @@ def _lex_min(g: Graph) -> int:
     Candidates go from the highest index down, and one interchangeable
     with the last cell joins it only below every member, so each such set
     is reached once; any other opens a new cell. A tie's automorphism is
-    read off the two leaves' cells, each in placement order.
+    read off the two leaves' cells, each in placement order, and is not
+    kept. To unwind it must also fix the cells where the paths part: the
+    join and twin rules read labels, so the search tree depends on them.
     """
     n = g.n
     adj = g.adj
@@ -108,7 +101,6 @@ def _lex_min(g: Graph) -> int:
     best_blocks: list[int] = []
     best_path: list[int] = []
     best_flat: list[int] = []
-    autos: list[list[int]] = []
 
     def flat(cells: list[int]) -> list[int]:
         return [v for cell in cells for v in path if cell >> v & 1]
@@ -130,7 +122,6 @@ def _lex_min(g: Graph) -> int:
                 return n
             # a tie: best_flat[i] -> flat(cells)[i] preserves every adjacency
             perm = [b for _, b in sorted(zip(best_flat, flat(cells)))]
-            autos.append(perm)
             # the subtree below this path's vertex at the parting depth f
             # mirrors best's, already searched, when perm maps best's
             # vertex there onto this one and fixes the cells of node f
@@ -154,10 +145,7 @@ def _lex_min(g: Graph) -> int:
             last, m = cells[-1], path[depth - 1]  # m, the last placed, is the cell's least
             tie, bit = adj[m] & placed, 1 << m
             joining = (tie, tie | bit) if last == bit else (tie | bit if tie & last else tie,)
-        explored: list[int] = []
         seen_twins: set[int] = set()
-        orbits: list[int] | None = None
-        used = 0
         for k, c in enumerate(unplaced):
             if rows[k] != low or twins[c] in seen_twins:
                 continue
@@ -167,20 +155,7 @@ def _lex_min(g: Graph) -> int:
                 # c's lower twins mirror that set
                 seen_twins.add(twins[c])
                 continue
-            # merge orbits under the new automorphisms that fix every cell
-            for perm in autos[used:]:
-                if fixes(perm, cells):
-                    if orbits is None:
-                        orbits = twins.copy()  # the twin classes, a forest of depth one
-                    for v in range(n):
-                        orbits[_find(orbits, v)] = _find(orbits, perm[v])
-            used = len(autos)
-            if orbits is not None:
-                root = _find(orbits, c)
-                if any(_find(orbits, e) == root for e in explored):
-                    continue
             seen_twins.add(twins[c])
-            explored.append(c)
             path[depth] = c
             if joins:
                 child = cells[:-1] + [last | 1 << c]

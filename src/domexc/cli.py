@@ -70,8 +70,8 @@ def _read_source(source: str) -> tuple[str, list]:
             return source, list(parse_lines(fh.read()))
     try:
         return "inline", [(1, from_graph6(source.strip()))]
-    except Graph6Error:
-        raise Graph6Error(f"no such file and not a graph6 string: {source!r}")
+    except Graph6Error as exc:
+        raise Graph6Error(f"no such file and not a graph6 string: {source!r}: {exc}")
 
 
 def _pattern_graph(spec: str) -> Graph:

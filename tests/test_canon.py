@@ -89,7 +89,7 @@ SYMMETRIC = {
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
 def test_canonical_key_is_lex_min_symmetric(name):
-    # large automorphism groups drive the orbit pruning and the unwinding
+    # large automorphism groups: ties unwind often, and twins are skipped
     g = SYMMETRIC[name]
     want = brute_key(g)
     assert canonical_key(g).bits == want
@@ -105,8 +105,8 @@ ORDER_12 = {
     "K2,2,2,2,2,2": complete_multipartite([2] * 6),
     "K3xK4": cartesian_product(complete(3), complete(4)),
     "C12": cycle(12),
-    # relabelled, a tie here maps best's branch at the parting depth onto
-    # its own without fixing that node's cells, so it must not unwind
+    # vertex-transitive with many ties: each relabelling unwinds along its
+    # own parting depths, and every one must reach the same key
     "C3xC4": cartesian_product(cycle(3), cycle(4)),
 }
 
@@ -119,6 +119,26 @@ def test_canonical_key_order_12_symmetric(name):
     for seed in range(5):
         assert canonical_key(shuffled(g, seed)) == key
     assert canonical_key(key.graph()) == key
+
+
+CIRCULANTS = [
+    from_edges(n, [(v, (v + s) % n) for v in range(n) for s in steps])
+    for n in range(5, 13)
+    for size in range(1, n // 2 + 1)
+    for steps in combinations(range(1, n // 2 + 1), size)
+]
+
+
+def test_canonical_key_circulants():
+    # vertex-transitive: no block separates the first vertices, so unwinding
+    # on ties and the twin rule do all of the symmetry pruning; a tie that
+    # unwound without fixing the cells would miss the minimum on C12(2,5)
+    assert len(CIRCULANTS) == 172
+    for i, g in enumerate(CIRCULANTS):
+        key = canonical_key(g)
+        for seed in range(3):
+            assert canonical_key(shuffled(g, 100 * i + seed)) == key
+        assert canonical_key(key.graph()) == key
 
 
 def _bits_digest(keys) -> str:

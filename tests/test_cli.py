@@ -480,6 +480,20 @@ def test_convert_bad_inline(capsys):
 
 
 @pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (":Fa@x^", "sparse6 input is not supported (byte 0)"),
+        ("~?@?", "expected 336 adjacency bytes for order 64, found 0 (byte 4)"),
+    ],
+)
+def test_bad_inline_keeps_parser_reason(capsys, raw, reason):
+    for command in ("analyze", "convert"):
+        code, _, err = run(capsys, command, raw)
+        assert code == 2
+        assert f"not a graph6 string: {raw!r}: {reason}" in err
+
+
+@pytest.mark.parametrize(
     "command, raw",
     [("convert", " Cl"), ("convert", "Cl "), ("analyze", "Cl\n"), ("analyze", "\tCl\n")],
 )
