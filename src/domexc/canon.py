@@ -25,8 +25,8 @@ after MATCH_BUDGET search nodes: up to CANON_CAP the lex-min keys then
 decide, and above it MatchBudgetError (a ValueError) is raised.
 ClassIndex keeps the first graph of each class this way for loaded
 catalog files, which key only the graphs they keep, and are_isomorphic
-runs the same two steps on a pair. Trees
-of any supported order also get an AHU-style key, tree_key.
+runs the same two steps on a pair. tree_key is a public AHU-style key
+for trees of any supported order; tree enumeration no longer uses it.
 """
 
 from __future__ import annotations

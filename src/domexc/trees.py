@@ -3,19 +3,22 @@
 Covers isomorph-free tree enumeration, 0/1-labeled trees, labeled
 1-coronas, the gluing operation that composes excellent trees from
 coronas, the labeling characterization of excellent trees, and the
-closed-form prediction of a tree's excellent family.
+closed-form prediction of a tree's excellent family. Trees are generated,
+not deduplicated: each class comes once, from its canonical level
+sequence rooted at a centre (Beyer and Hedetniemi, Constant time
+generation of rooted trees, 1980; Wright, Richmond, Odlyzko and McKay,
+Constant time generation of free trees, 1986).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .canon import IsoKey, canonical_key, tree_key
+from .canon import IsoKey, canonical_key
 from .domination import Param, critical_split, min_sets, satisfies
 from .excellence import is_excellent
 from .graph6 import to_graph6
-from .graphs import Graph, coalescence, corona1, edgeless, iter_bits, set_of
+from .graphs import Graph, coalescence, corona1, edgeless, from_edges, iter_bits, set_of
 
 TREE_ENUM_CAP = 14
 
@@ -41,23 +44,30 @@ class LabeledTree:
 
 
 def enumerate_trees(n: int) -> list[Graph]:
-    """One representative per isomorphism class of trees of order n."""
+    """One tree per isomorphism class of order n, built from its level sequence.
+
+    Vertex 0 is a centre and the vertices are in preorder. The trees come
+    in decreasing lexicographic order of their level sequences.
+    """
     if not 1 <= n <= TREE_ENUM_CAP:
         raise ValueError(f"order must be between 1 and {TREE_ENUM_CAP}")
-    return list(_trees(n))
-
-
-@lru_cache(maxsize=None)
-def _trees(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (edgeless(1),)
-    # attach one new leaf everywhere on every smaller tree, dedup by key
-    out: dict[object, Graph] = {}
-    for t in _trees(n - 1):
-        for v in range(t.n):
-            grown = t.with_vertex(1 << v)
-            out.setdefault(tree_key(grown), grown)
-    return tuple(out.values())
+    out = []
+    seq = list(range(n))
+    while True:
+        # keep a rooting at a centre; with two centres, the one whose side is not smaller
+        m = next((i for i in range(2, n) if seq[i] == 1), n)
+        left = [x - 1 for x in seq[1:m]]
+        rest = [0] + seq[m:]
+        if (max(left, default=0), len(left), left) <= (max(rest), len(rest), rest):
+            parents = [max(u for u in range(v) if seq[u] == seq[v] - 1) for v in range(1, n)]
+            out.append(from_edges(n, zip(parents, range(1, n))))
+        # Beyer-Hedetniemi successor, in place
+        p = max((i for i in range(n) if seq[i] > 1), default=0)
+        if not p:
+            return out
+        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        for i in range(p, n):
+            seq[i] = seq[i - p + q]
 
 
 def leaves_mask(g: Graph) -> int:

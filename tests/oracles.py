@@ -3,10 +3,16 @@
 Everything here works from adjacency lists with plain subset sweeps and
 its own breadth-first connectivity, so it shares no search code with the
 package. Values and optimal-set collections are recomputed from the
-defining predicates directly.
+defining predicates directly. Excellent families are read off the same
+sweeps, with candidate patterns and their names taken from networkx's
+graph atlas (every graph of order 7 or less), so they share no code
+with canon either.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
+
+from domexc.graphs import from_edges
 
 
 def brute_key(g) -> int:
@@ -130,3 +136,86 @@ def brute_excellent(g, pid: str) -> bool:
     for s in sets:
         union |= s
     return union == (1 << g.n) - 1
+
+
+@lru_cache(maxsize=1)
+def atlas():
+    """networkx's graph atlas: all 1,253 graphs of order 7 or less, by index."""
+    from networkx import graph_atlas_g
+
+    return tuple(graph_atlas_g())
+
+
+def to_networkx(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u, v) for v, row in enumerate(adjacency(g)) for u in row if u < v)
+    return h
+
+
+def atlas_index(g) -> int:
+    """Index of the atlas graph isomorphic to g, found by networkx."""
+    import networkx as nx
+
+    h = to_networkx(g)
+    for i, a in enumerate(atlas()):
+        if (a.number_of_nodes(), a.number_of_edges()) == (g.n, h.number_of_edges()):
+            if nx.is_isomorphic(a, h):
+                return i
+    raise ValueError("the atlas stops at order 7")
+
+
+def pattern_conditions(g, pattern, sets) -> tuple[bool, bool]:
+    """Conditions (i) and (ii) for pattern in g, given the optimal sets.
+
+    (i) every vertex lies in an induced copy inside some optimal set;
+    (ii) every induced copy lies inside some optimal set.
+    """
+    copies = brute_copies(g, pattern)
+    homed = [c for c in copies if any(c & ~d == 0 for d in sets)]
+    covered = 0
+    for c in homed:
+        covered |= c
+    return covered == (1 << g.n) - 1, len(homed) == len(copies)
+
+
+def _degrees(nbrs, verts) -> tuple[int, ...]:
+    return tuple(sorted(sum(u in verts for u in nbrs[v]) for v in verts))
+
+
+def brute_family(g, pid: str) -> list[int]:
+    """Atlas indices of the patterns for which g is pattern-excellent.
+
+    Optimal sets come from brute and copies from brute_copies. A member
+    has a copy inside an optimal set, so only atlas graphs whose degree
+    sequence some subset of an optimal set induces are tried. A graph
+    that is not excellent has no members.
+    """
+    _, sets = brute(g, pid)
+    union = 0
+    for s in sets:
+        union |= s
+    if union != (1 << g.n) - 1:
+        return []
+    nbrs = [set(row) for row in adjacency(g)]
+    inside = set()
+    for s in sets:
+        verts = [v for v in range(g.n) if s >> v & 1]
+        for k in range(1, len(verts) + 1):
+            for combo in combinations(verts, k):
+                inside.add(_degrees(nbrs, set(combo)))
+    top = max(len(d) for d in inside)
+    if top > 7:
+        raise ValueError("the atlas stops at order 7")
+    members = []
+    for i, a in enumerate(atlas()):
+        if a.number_of_nodes() > top:
+            break
+        if tuple(sorted(d for _, d in a.degree())) not in inside:
+            continue
+        pattern = from_edges(a.number_of_nodes(), a.edges())
+        if all(pattern_conditions(g, pattern, sets)):
+            members.append(i)
+    return members

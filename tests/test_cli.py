@@ -1,5 +1,6 @@
 """Command line behavior: schemas, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -341,6 +342,16 @@ def test_gen_counts(capsys):
     assert code == 0 and len(out.split()) == 11
     code, out, _ = run(capsys, "gen", "regular", "6", "3")
     assert code == 0 and len(out.split()) == 2
+
+
+def test_gen_trees_pinned(capsys):
+    # level-sequence labelling, in generator order
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        code, out, _ = run(capsys, "gen", "trees", str(n))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "95bd871f9c20164e64add5423990d6bbd2f77726b2f5a5d43addb6438686f964"
 
 
 def test_gen_errors(capsys):

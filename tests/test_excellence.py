@@ -1,13 +1,15 @@
 """Excellence, pattern excellence, and excellent families."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from domexc.canon import canonical_key, induced_copies
-from domexc.catalog import generate_all_graphs
-from domexc.domination import Param, min_sets
+from domexc.catalog import generate_all_graphs, generate_regular
+from domexc.domination import Param, ParameterUndefinedError, min_sets
 from domexc.excellence import (
     describe_pattern,
     excellent_family,
@@ -17,6 +19,7 @@ from domexc.excellence import (
     sets_union,
 )
 from domexc.graphs import (
+    cartesian_product,
     complete,
     cycle,
     disjoint_union,
@@ -25,7 +28,16 @@ from domexc.graphs import (
     path,
 )
 from helpers import random_graph
-from oracles import brute_copies, brute_excellent
+from oracles import (
+    atlas,
+    atlas_index,
+    brute,
+    brute_copies,
+    brute_excellent,
+    brute_family,
+    pattern_conditions,
+    to_networkx,
+)
 
 
 def test_is_excellent_basics():
@@ -202,3 +214,53 @@ def test_describe_pattern_names():
     # unnamed shapes fall back to graph6
     paw = from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
     assert describe_pattern(paw) == "Cx"
+
+
+def _family_oracle_cases():
+    """Every graph of order <= 5 and a seeded sample of orders 6 and 7 under
+    all eight parameters, then claim-table graphs under gamma and i."""
+    small = [from_edges(a.number_of_nodes(), a.edges()) for a in atlas()[1:52]]
+    rng = random.Random(15)
+    small += [random_graph(n, rng.getrandbits(n * (n - 1) // 2)) for n in (6, 7) for _ in range(12)]
+    table = [disjoint_union([cycle(5), cycle(5)])]
+    table += [cartesian_product(complete(m), complete(n)) for m in (2, 3) for n in range(m, 6)]
+    table += [cartesian_product(complete(3), complete(n)).complement() for n in (3, 4, 5)]
+    yield from ((g, param) for g in small for param in Param)
+    yield from ((g, param) for g in table for param in (Param.GAMMA, Param.IND_DOM))
+
+
+def test_family_matches_independent_oracle():
+    pytest.importorskip("networkx")
+    for g, param in _family_oracle_cases():
+        try:
+            want = brute_family(g, param.id)
+        except ValueError:
+            # a total-type parameter on a graph with an isolated vertex
+            with pytest.raises(ParameterUndefinedError):
+                min_sets(g, param)
+            continue
+        got = sorted(atlas_index(k.graph()) for k in excellent_family(g, param).members)
+        assert got == want, (g.adj, param)
+
+
+def test_oracle_e3_fails_condition_two_in_complement_products():
+    for n in (4, 5):
+        g = cartesian_product(complete(3), complete(n)).complement()
+        _, sets = brute(g, "gamma")
+        assert pattern_conditions(g, edgeless(3), sets) == (True, False)
+
+
+def test_oracle_three_four_regular_order_nine_k3_excellent():
+    nx = pytest.importorskip("networkx")
+    nine = generate_regular(9, 4)
+    as_nx = [to_networkx(g) for g in nine]
+    assert len(as_nx) == 16
+    assert not any(nx.is_isomorphic(a, b) for i, a in enumerate(as_nx) for b in as_nx[i + 1 :])
+    excellent = [
+        h
+        for g, h in zip(nine, as_nx)
+        if all(pattern_conditions(g, complete(3), brute(g, "gamma")[1]))
+    ]
+    assert len(excellent) == 3
+    rook = to_networkx(cartesian_product(complete(3), complete(3)))
+    assert sum(nx.is_isomorphic(h, rook) for h in excellent) == 1

@@ -7,7 +7,15 @@ import pytest
 from domexc.canon import canonical_key, tree_key
 from domexc.domination import Param, min_sets, satisfies
 from domexc.excellence import excellent_family, is_excellent
-from domexc.graphs import complete_multipartite, corona1, cycle, edgeless, path
+from domexc.graphs import (
+    complete_multipartite,
+    corona1,
+    cycle,
+    edgeless,
+    from_edges,
+    iter_bits,
+    path,
+)
 
 
 def star(k):
@@ -25,7 +33,7 @@ from domexc.trees import (
     tree_family_prediction,
 )
 
-TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
 
 
 def test_enumeration_counts():
@@ -34,11 +42,41 @@ def test_enumeration_counts():
 
 
 def test_enumeration_is_isomorph_free():
-    for n in range(1, 10):
+    for n in range(1, 11):
         ts = enumerate_trees(n)
         keys = {canonical_key(t) for t in ts}
         assert len(keys) == len(ts)
         assert all(t.is_tree() and t.n == n for t in ts)
+
+
+def test_enumeration_matches_networkx_past_canonical_key():
+    nx = pytest.importorskip("networkx")
+    for n in range(11, TREE_ENUM_CAP + 1):
+        want = {tree_key(from_edges(n, t.edges())) for t in nx.nonisomorphic_trees(n)}
+        got = [tree_key(t) for t in enumerate_trees(n)]
+        assert len(set(got)) == len(got) and set(got) == want
+
+
+def _eccentricity(t, v):
+    seen = frontier = 1 << v
+    far = 0
+    while True:
+        step = 0
+        for u in iter_bits(frontier):
+            step |= t.adj[u]
+        frontier = step & ~seen
+        if not frontier:
+            return far
+        seen |= frontier
+        far += 1
+
+
+def test_enumeration_labelling():
+    # vertex 0 is a centre and the vertices are in preorder
+    for n in range(1, 13):
+        for t in enumerate_trees(n):
+            assert _eccentricity(t, 0) == min(_eccentricity(t, v) for v in range(n))
+            assert all((t.adj[v] & ((1 << v) - 1)).bit_count() == 1 for v in range(1, n))
 
 
 def test_enumeration_cap():
