@@ -26,7 +26,7 @@ from .canon import CANON_CAP, ClassIndex, IsoKey, canonical_key
 from .domination import PARAM_IDS, Param, ParameterUndefinedError, ParamResult, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6, triangle_bits
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _trusted, iter_bits
 
 ALL_GRAPHS_CAP = 7
 REGULAR_CAP = 12
@@ -146,7 +146,8 @@ def _orderly(n: int, row_options) -> list[Graph]:
     (_lex_max_prefix). The lex-max labelling of each class passes every
     such test, and at the last row the test is exact, so each leaf is the
     lex-max labelling of a new class, whatever order the options come in.
-    One Graph is built per leaf.
+    One Graph is built per leaf, unchecked: the rows are symmetric and
+    loop-free by construction.
     """
     graphs: list[Graph] = []
     rows = [0] * n
@@ -155,7 +156,7 @@ def _orderly(n: int, row_options) -> list[Graph]:
         if v and not _lex_max_prefix(rows, v - 1):
             return
         if v == n:
-            graphs.append(Graph(n, tuple(rows)))
+            graphs.append(_trusted(n, tuple(rows)))
             return
         before = rows[v]
         for mask in row_options(rows, v):

@@ -7,7 +7,9 @@ induced copy of H whose vertices sit inside one optimal set, and (ii)
 every induced copy of H sits inside some optimal set. The excellent
 family collects all such patterns up to isomorphism; by condition (i)
 each member must appear inside an optimal set, so candidates are drawn
-from induced subgraphs of optimal sets.
+from induced subgraphs of optimal sets. They are reached by vertex
+deletion from the subgraph each optimal set induces, and each labelled
+graph reached is kept and keyed once.
 """
 
 from __future__ import annotations
@@ -94,8 +96,12 @@ def excellent_family(
 
     Candidate patterns are the isomorphism classes of induced subgraphs
     of optimal sets, over all nonempty subset sizes; condition (i) makes
-    this exhaustive. A non-excellent graph yields no members; an optimal
-    set past the pattern cap raises ValueError before candidates are built.
+    this exhaustive. They are reached as a deletion closure: the graph
+    each optimal set induces, then one vertex deleted at a time down to a
+    single vertex, which gives the labelled graph of every nonempty
+    subset of every optimal set; each is kept once and keyed once. A
+    non-excellent graph yields no members; an optimal set past the
+    pattern cap raises ValueError before candidates are built.
     """
     res = result if result is not None else min_sets(g, param)
     if sets_union(res.sets) != g.full_mask:
@@ -103,14 +109,13 @@ def excellent_family(
     # candidates take every order up to the largest set; name the first past the cap
     check_pattern_order(min(max(d.bit_count() for d in res.sets), PATTERN_CAP + 1))
 
-    subset_masks: set[int] = set()
-    for d in res.sets:
-        sub = d
-        while sub:
-            subset_masks.add(sub)
-            sub = (sub - 1) & d
-    # many subsets induce the same labelled graph; key each one once
-    candidates = {canonical_key(h) for h in {g.induced(mask) for mask in subset_masks}}
+    # every nonempty subset of an optimal set, one vertex deletion at a time
+    level = {g.induced(d) for d in res.sets if d}
+    labelled = set(level)
+    while level:
+        level = {h.delete_vertex(v) for h in level if h.n > 1 for v in range(h.n)}
+        labelled |= level
+    candidates = {canonical_key(h) for h in labelled}
 
     members = []
     witnesses = []

@@ -42,16 +42,18 @@ def set_of(mask: int) -> tuple[int, ...]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    adj[v] is the open neighborhood of v as a bitmask. The structure is
-    validated on construction: symmetric, loop-free, within capacity.
+    adj[v] is the open neighborhood of v as a bitmask. Graph(n, adj)
+    validates it: symmetric, loop-free, within capacity. Graphs derived
+    from a valid one (induced subgraphs, edits, complements, relabellings)
+    and the generators' leaves are valid by construction and skip the
+    scan; only their order is checked against the capacity.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= CAPACITY:
-            raise CapacityError(f"order {self.n} outside supported range 0..{CAPACITY}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for order {self.n}")
         full = (1 << self.n) - 1
@@ -165,6 +167,8 @@ class Graph:
 
     def induced(self, mask: int) -> "Graph":
         """Induced subgraph on mask, vertices renumbered in index order."""
+        if not 0 <= mask <= self.full_mask:
+            raise ValueError(f"vertex mask {mask:#x} outside 0..{self.full_mask:#x}")
         verts = set_of(mask)
         pos = {v: i for i, v in enumerate(verts)}
         rows = []
@@ -173,9 +177,11 @@ class Graph:
             for u in iter_bits(self.adj[v] & mask):
                 row |= 1 << pos[u]
             rows.append(row)
-        return Graph(len(verts), tuple(rows))
+        return _trusted(len(verts), tuple(rows))
 
     def delete_vertex(self, v: int) -> "Graph":
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         return self.induced(self.full_mask & ~(1 << v))
 
     def add_edge(self, u: int, v: int) -> "Graph":
@@ -184,7 +190,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return _trusted(self.n, tuple(rows))
 
     def with_vertex(self, nbr_mask: int) -> "Graph":
         """Append vertex n adjacent to nbr_mask."""
@@ -192,11 +198,11 @@ class Graph:
             raise ValueError("neighbor mask outside existing vertices")
         rows = [row | ((nbr_mask >> v & 1) << self.n) for v, row in enumerate(self.adj)]
         rows.append(nbr_mask)
-        return Graph(self.n + 1, tuple(rows))
+        return _trusted(self.n + 1, tuple(rows))
 
     def complement(self) -> "Graph":
         full = self.full_mask
-        return Graph(self.n, tuple(full & ~self.closed_nb(v) for v in range(self.n)))
+        return _trusted(self.n, tuple(full & ~self.closed_nb(v) for v in range(self.n)))
 
     def relabel(self, order) -> "Graph":
         """Relabel so that old vertex order[i] becomes new vertex i."""
@@ -208,7 +214,26 @@ class Graph:
         for v, row in enumerate(self.adj):
             for u in iter_bits(row):
                 rows[pos[v]] |= 1 << pos[u]
-        return Graph(self.n, tuple(rows))
+        return _trusted(self.n, tuple(rows))
+
+
+def _check_order(n: int) -> None:
+    if not 0 <= n <= CAPACITY:
+        raise CapacityError(f"order {n} outside supported range 0..{CAPACITY}")
+
+
+def _trusted(n: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph from rows valid by construction: only the order is checked.
+
+    For the package's own builders, whose rows come symmetric, loop-free
+    and in range from a valid graph or a generator; everything else goes
+    through Graph(n, rows).
+    """
+    _check_order(n)
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", rows)
+    return g
 
 
 def from_edges(n: int, edges) -> Graph:

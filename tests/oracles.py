@@ -43,13 +43,17 @@ def adjacency(g) -> list[list[int]]:
 def brute_copies(g, pattern) -> list[int]:
     """Sorted masks of the vertex subsets of g that induce a copy of pattern.
 
-    Tries every bijection from pattern onto every subset of its order.
+    Tries every bijection from pattern onto every subset of its order
+    whose induced degree sequence is the pattern's.
     """
     nbrs = [set(row) for row in adjacency(g)]
     pat = [set(row) for row in adjacency(pattern)]
     p = pattern.n
+    degrees = _degrees(pat, set(range(p)))
     found = []
     for combo in combinations(range(g.n), p):
+        if _degrees(nbrs, set(combo)) != degrees:
+            continue
         for perm in permutations(combo):
             if all(
                 (perm[v] in nbrs[perm[u]]) == (v in pat[u])

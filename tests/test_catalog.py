@@ -236,7 +236,8 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
 def test_regular_builds_one_graph_per_class(monkeypatch):
     # the orderly test prunes every labelled graph but one per class before
     # it is built (the search without it completes 2,883 here), so
-    # neither generator reaches ClassIndex.add
+    # neither generator reaches ClassIndex.add; each leaf, built unchecked
+    # by the generator, passes the public check here
     built = []
 
     def counted(*args):
@@ -246,7 +247,7 @@ def test_regular_builds_one_graph_per_class(monkeypatch):
     def refused(self, g):
         raise AssertionError("a generator reached ClassIndex.add")
 
-    monkeypatch.setattr(catalog, "Graph", counted)
+    monkeypatch.setattr(catalog, "_trusted", counted)
     monkeypatch.setattr(ClassIndex, "add", refused)
     catalog._FULL_CATALOGS.clear()
     cat = generate_regular(10, 5)

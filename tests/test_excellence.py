@@ -1,5 +1,7 @@
 """Excellence, pattern excellence, and excellent families."""
 
+import hashlib
+import json
 import random
 
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from domexc.excellence import (
     is_pattern_excellent,
     sets_union,
 )
+from domexc.graph6 import to_graph6
 from domexc.graphs import (
     cartesian_product,
     complete,
@@ -218,11 +221,12 @@ def test_describe_pattern_names():
 
 def _family_oracle_cases():
     """Every graph of order <= 5 and a seeded sample of orders 6 and 7 under
-    all eight parameters, then claim-table graphs under gamma and i."""
+    all eight parameters, then claim-table graphs, the cycle unions among
+    them, under gamma and i."""
     small = [from_edges(a.number_of_nodes(), a.edges()) for a in atlas()[1:52]]
     rng = random.Random(15)
     small += [random_graph(n, rng.getrandbits(n * (n - 1) // 2)) for n in (6, 7) for _ in range(12)]
-    table = [disjoint_union([cycle(5), cycle(5)])]
+    table = [disjoint_union([cycle(a), cycle(b)]) for a, b in ((5, 5), (6, 9), (7, 7))]
     table += [cartesian_product(complete(m), complete(n)) for m in (2, 3) for n in range(m, 6)]
     table += [cartesian_product(complete(3), complete(n)).complement() for n in (3, 4, 5)]
     yield from ((g, param) for g in small for param in Param)
@@ -241,6 +245,31 @@ def test_family_matches_independent_oracle():
             continue
         got = sorted(atlas_index(k.graph()) for k in excellent_family(g, param).members)
         assert got == want, (g.adj, param)
+
+
+# sha256 of [graph6, id, excellent, value, [[n, bits] of each member],
+# witness] (or [graph6, id, null] where the parameter is undefined) for
+# every parameter on every graph of order 7 or less; recorded when
+# excellent_family began to reach its candidates by vertex deletion, and
+# equal to the digest of the submask enumeration it replaced
+FAMILY_SHA256 = "4422802d3fcfd0253f262c02e4a5002f1571533b9041a8770fd91afc0b468cd7"
+
+
+def test_family_pinned_up_to_order_seven():
+    rows = []
+    for n in range(1, 8):
+        for g in generate_all_graphs(n):
+            for param in Param:
+                try:
+                    fam = excellent_family(g, param)
+                except ParameterUndefinedError:
+                    rows.append([to_graph6(g), param.id, None])
+                    continue
+                members = [[k.n, k.bits] for k in fam.members]
+                witness = [[list(pair) for pair in w] for w in fam.witness]
+                rows.append([to_graph6(g), param.id, fam.excellent, fam.value, members, witness])
+    assert len(rows) == 1252 * len(Param)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FAMILY_SHA256
 
 
 def test_oracle_e3_fails_condition_two_in_complement_products():

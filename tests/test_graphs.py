@@ -1,5 +1,7 @@
 """Bitmask graph type and constructors."""
 
+import random
+
 import pytest
 
 from domexc.graphs import (
@@ -21,6 +23,8 @@ from domexc.graphs import (
     product_layer,
     set_of,
 )
+
+from helpers import random_graph
 
 
 def test_basic_constructors():
@@ -132,6 +136,41 @@ def test_induced_and_delete():
     assert h.edge_count() == 2
     assert g.delete_vertex(0).n == 4
     assert g.delete_vertex(0).edge_count() == 3
+
+
+def test_induced_and_delete_reject_outside_vertices():
+    g = cycle(5)
+    for mask in (1 << 5 | 1, 1 << 5, -1):
+        with pytest.raises(ValueError):
+            g.induced(mask)
+    for v in (5, 7, -1):
+        with pytest.raises(ValueError):
+            g.delete_vertex(v)
+    assert g.induced(0).n == 0
+    assert g.induced(g.full_mask) == g
+
+
+def _derived(g: Graph, rng: random.Random):
+    """One result of each derived-graph operation on g, from seeded choices."""
+    yield g.induced(rng.getrandbits(g.n))
+    yield g.delete_vertex(rng.randrange(g.n))
+    if g.non_edges():
+        yield g.add_edge(*rng.choice(g.non_edges()))
+    if g.n < 64:
+        yield g.with_vertex(rng.getrandbits(g.n))
+    yield g.complement()
+    order = list(range(g.n))
+    rng.shuffle(order)
+    yield g.relabel(order)
+
+
+def test_derived_graphs_pass_the_public_check():
+    rng = random.Random(22)
+    for n in range(1, 65):
+        for _ in range(3):
+            g = random_graph(n, rng.getrandbits(n * (n - 1) // 2))
+            for h in _derived(g, rng):
+                assert Graph(h.n, h.adj) == h
 
 
 def test_complement():
