@@ -430,9 +430,9 @@ def _check_coalescence_critical():
     for f, x, h, y in COALESCENCE_CASES:
         merged = coalescence([(f, x), (h, y)])
         g = merged.graph
-        in_f = bool(critical_split(f, Param.GAMMA)[0] >> x & 1)
-        in_h = bool(critical_split(h, Param.GAMMA)[0] >> y & 1)
-        in_g = bool(critical_split(g, Param.GAMMA)[0] >> merged.glued & 1)
+        in_f = bool(critical_split(f)[0] >> x & 1)
+        in_h = bool(critical_split(h)[0] >> y & 1)
+        in_g = bool(critical_split(g)[0] >> merged.glued & 1)
         if in_g != (in_f and in_h):
             yield f"{f.n}@{x}+{h.n}@{y}: critical {in_g} vs parts {in_f}&{in_h}"
         if in_g:
@@ -461,15 +461,16 @@ def _check_coalescence_closure():
 def _check_tree_labeling():
     for n in range(4, 13):
         for t in enumerate_trees(n):
-            lab = excellent_tree_labeling(t)
-            if (lab is not None) != is_excellent(t, Param.GAMMA):
+            res = min_sets(t, Param.GAMMA)
+            lab = excellent_tree_labeling(t, result=res)
+            if (lab is not None) != is_excellent(t, Param.GAMMA, result=res):
                 yield f"order {n}: labeling presence disagrees with excellence"
                 continue
             if lab is None:
                 continue
             if not satisfies(t, lab.zeros, Param.GAMMA):
                 yield f"order {n}: zero labels are not a dominating set"
-            if lab.zeros.bit_count() != param_value(t, Param.GAMMA):
+            if lab.zeros.bit_count() != res.value:
                 yield f"order {n}: zero labels are not optimal"
             if leaves_mask(t) & lab.ones:
                 yield f"order {n}: a leaf carries label one"
@@ -482,7 +483,7 @@ def _check_tree_families():
             if not is_excellent(t, Param.GAMMA, result=res):
                 continue
             fam = excellent_family(t, Param.GAMMA, result=res)
-            if fam.members != tree_family_prediction(t):
+            if fam.members != tree_family_prediction(t, result=res):
                 yield f"{to_graph6(t)}: family differs from prediction"
 
 
@@ -490,7 +491,7 @@ def _check_bridge_pairs():
     for n in range(2, 11):
         for t in enumerate_trees(n):
             res = min_sets(t, Param.GAMMA)
-            drops, _ = critical_split(t, Param.GAMMA)
+            drops, _ = critical_split(t, result=res)
             for x in set_of(drops):
                 nbrs = list(set_of(t.adj[x]))
                 for d in res.sets:

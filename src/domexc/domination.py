@@ -20,7 +20,13 @@ vertices never join the set, so the whole outside lies in the component
 of what the partial set leaves that holds the least banned vertex. A
 banned vertex outside that component ends the branch, and every vertex
 outside it is forced in. The sizes are tried in turn and at the first
-feasible one every satisfying set is collected.
+feasible one every satisfying set is collected. The sweep starts at the
+larger of ceil(n/(Δ+1)) and a packing floor: a greedy count of vertices
+whose footprints (closed neighbourhoods, or open ones for the total
+variants) are pairwise disjoint, each of which needs its own member of
+the set. On trees and forests the packing number equals the domination
+number (Meir and Moon, Relations between packing and covering numbers
+of a tree, 1975), so there the sweep mostly starts at the value.
 Independent domination is closed-neighborhood domination plus
 independence: its search only adds vertices that are not yet covered,
 so every partial set stays independent. The maximum independent sets are
@@ -147,6 +153,28 @@ def satisfies(g: Graph, mask: int, param: Param) -> bool:
     return _extra_ok(g, mask, param)
 
 
+def _footprints(g: Graph, param: Param) -> list[int]:
+    """What each vertex covers: its open neighbourhood or its closed one."""
+    if param.open_cover:
+        return list(g.adj)
+    return [row | (1 << v) for v, row in enumerate(g.adj)]
+
+
+def _packing_floor(foot: list[int]) -> int:
+    """How many vertices have pairwise disjoint footprints, taken greedily.
+
+    Vertices are taken in ascending footprint size, ties by index. Every
+    covering set holds a member of each taken footprint, and no member
+    lies in two of them, so the count never exceeds the parameter value.
+    """
+    taken = count = 0
+    for f in sorted(foot, key=int.bit_count):
+        if not f & taken:
+            taken |= f
+            count += 1
+    return count
+
+
 def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     """All (or any) sets of size exactly k satisfying param's predicate.
 
@@ -168,10 +196,7 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     it is never completed: it is a hit only when its size is k.
     """
     full, adj = g.full_mask, g.adj
-    if param.open_cover:
-        foot = list(adj)
-    else:
-        foot = [adj[v] | (1 << v) for v in range(g.n)]
+    foot = _footprints(g, param)
     max_new = max((f.bit_count() for f in foot), default=0)
     # a connected outside of two or more vertices gives each outside vertex
     # an outside neighbour, so those outer-connected sets force as well
@@ -258,10 +283,13 @@ def _solve(g: Graph, param: Param, first_only: bool) -> ParamResult:
         raise ParameterUndefinedError(
             f"{param.id} is undefined: graph has an isolated vertex"
         )
-    lower = -(-g.n // (g.max_degree() + 1))
-    sizes = range(max(1, lower), g.n + 1)
-    # every maximum independent set dominates, so beta0 is the largest hit
-    for k in reversed(sizes) if param is Param.INDEPENDENCE else sizes:
+    lower = max(1, -(-g.n // (g.max_degree() + 1)))
+    if param is Param.INDEPENDENCE:
+        # every maximum independent set dominates, so beta0 is the largest hit
+        sizes = range(g.n, lower - 1, -1)
+    else:
+        sizes = range(max(lower, _packing_floor(_footprints(g, param))), g.n + 1)
+    for k in sizes:
         found = _cover_search(g, k, param, first_only)
         if found:
             return ParamResult(param, k, tuple(found))
@@ -278,19 +306,25 @@ def min_sets(g: Graph, param: Param) -> ParamResult:
     return _solve(g, param, first_only=False)
 
 
-def critical_split(g: Graph, param: Param = Param.GAMMA) -> tuple[int, int]:
-    """Split vertices by whether deletion lowers the parameter value.
+def critical_split(g: Graph, *, result: ParamResult | None = None) -> tuple[int, int]:
+    """Split vertices by whether deletion lowers the domination number.
 
     Returns (drops, stays) masks: drops holds the vertices x with
-    value(g - x) < value(g). Requires order at least 2 so deletions stay
-    nonempty.
+    gamma(g - x) < gamma(g). A dominating set of g - x plus x dominates g,
+    so gamma(g - x) >= gamma(g) - 1, and x drops exactly when g - x has a
+    dominating set of size gamma(g) - 1: one first-hit cover search at
+    that size decides each vertex. result, when given, is g's gamma
+    ParamResult and saves solving g again. Requires order at least 2 so
+    deletions stay nonempty.
     """
     if g.n < 2:
         raise ValueError("criticality needs order at least 2")
-    base = param_value(g, param)
+    if result is not None and result.param is not Param.GAMMA:
+        raise ValueError("criticality reads a gamma result")
+    below = (result.value if result is not None else param_value(g, Param.GAMMA)) - 1
     drops = 0
     for v in range(g.n):
-        if param_value(g.delete_vertex(v), param) < base:
+        if _cover_search(g.delete_vertex(v), below, Param.GAMMA, first_only=True):
             drops |= 1 << v
     return drops, g.full_mask & ~drops
 
@@ -310,11 +344,15 @@ def private_neighbors(g: Graph, x: int, mask: int) -> int:
 def is_edge_addition_critical(g: Graph) -> bool:
     """True when adding any missing edge changes the domination number.
 
-    Complete graphs qualify vacuously.
+    A dominating set of g + uv plus u dominates g, so adding an edge
+    lowers gamma by one at most, and it changes gamma exactly when g + uv
+    has a dominating set of size gamma(g) - 1: one first-hit cover search
+    at that size decides each missing edge. Complete graphs qualify
+    vacuously.
     """
-    base = param_value(g, Param.GAMMA)
+    below = param_value(g, Param.GAMMA) - 1
     for u, v in g.non_edges():
-        if param_value(g.add_edge(u, v), Param.GAMMA) == base:
+        if not _cover_search(g.add_edge(u, v), below, Param.GAMMA, first_only=True):
             return False
     return True
 

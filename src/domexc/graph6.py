@@ -12,7 +12,7 @@ undirected graph6 is handled; sparse6 and digraph6 input is rejected.
 
 from __future__ import annotations
 
-from .graphs import CAPACITY, Graph
+from .graphs import CAPACITY, Graph, _trusted
 
 HEADER = ">>graph6<<"
 
@@ -37,7 +37,11 @@ def triangle_bits(g: Graph) -> int:
 
 
 def from_triangle_bits(n: int, bits: int) -> Graph:
-    """The graph of order n whose triangle_bits are bits."""
+    """The graph of order n whose triangle_bits are bits.
+
+    Every bit sets a pair of distinct vertices both ways, so the rows are
+    symmetric and loop-free whatever bits holds; only the order is checked.
+    """
     rows = [0] * n
     at = n * (n - 1) // 2
     for col in range(1, n):
@@ -46,7 +50,7 @@ def from_triangle_bits(n: int, bits: int) -> Graph:
             if bits >> at & 1:
                 rows[row] |= 1 << col
                 rows[col] |= 1 << row
-    return Graph(n, tuple(rows))
+    return _trusted(n, tuple(rows))
 
 
 def encode_bits(n: int, bits: int) -> str:

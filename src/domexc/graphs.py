@@ -18,7 +18,12 @@ class CapacityError(ValueError):
 
 
 def iter_bits(mask: int):
-    """Yield the set bit positions of mask in increasing order."""
+    """Yield the set bit positions of mask in increasing order.
+
+    mask must be non-negative: a negative int has infinitely many set
+    bits and the loop never ends. It is not checked here, in the hot loop
+    of every search; set_of checks it.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -34,7 +39,9 @@ def mask_of(vertices) -> int:
 
 
 def set_of(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into a sorted tuple of vertex indices."""
+    """Unpack a non-negative bitmask into a sorted tuple of vertex indices."""
+    if mask < 0:
+        raise ValueError(f"negative vertex mask {mask}")
     return tuple(iter_bits(mask))
 
 

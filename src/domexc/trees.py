@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import IsoKey, canonical_key
-from .domination import Param, critical_split, min_sets, satisfies
+from .domination import Param, ParamResult, critical_split, min_sets, satisfies
 from .excellence import is_excellent
 from .graph6 import to_graph6
-from .graphs import Graph, coalescence, corona1, edgeless, from_edges, iter_bits, set_of
+from .graphs import Graph, _trusted, coalescence, corona1, edgeless, iter_bits, set_of
 
 TREE_ENUM_CAP = 14
 
@@ -59,8 +59,15 @@ def enumerate_trees(n: int) -> list[Graph]:
         left = [x - 1 for x in seq[1:m]]
         rest = [0] + seq[m:]
         if (max(left, default=0), len(left), left) <= (max(rest), len(rest), rest):
-            parents = [max(u for u in range(v) if seq[u] == seq[v] - 1) for v in range(1, n)]
-            out.append(from_edges(n, zip(parents, range(1, n))))
+            # in preorder a vertex's parent is the last vertex one level up
+            rows = [0] * n
+            last = [0] * n
+            for v in range(1, n):
+                u = last[seq[v] - 1]
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                last[seq[v]] = v
+            out.append(_trusted(n, tuple(rows)))
         # Beyer-Hedetniemi successor, in place
         p = max((i for i in range(n) if seq[i] > 1), default=0)
         if not p:
@@ -144,41 +151,48 @@ def glue_corona(t: LabeledTree, c: LabeledTree, u: int, v: int) -> LabeledTree:
     return LabeledTree(merged.graph, zeros, ones)
 
 
-def excellent_tree_labeling(t: Graph) -> LabeledTree | None:
+def excellent_tree_labeling(t: Graph, *, result: ParamResult | None = None) -> LabeledTree | None:
     """The characteristic labeling of an excellent tree, if there is one.
 
     For a tree of order at least four that is excellent for plain
     domination, the vertices whose removal drops the domination number
     get label 0 and the rest label 1; the 0 side is then itself a
-    minimum dominating set. Non-excellent trees yield None.
+    minimum dominating set. Non-excellent trees yield None. Deleting a
+    vertex lowers the domination number by one at most, so each vertex
+    is labelled by one cover search at one below it (critical_split).
+    result, when given, is t's gamma ParamResult and saves solving t again.
     """
     if not t.is_tree():
         raise ValueError("input must be a tree")
     if t.n < 4:
         raise ValueError("order must be at least 4")
-    res = min_sets(t, Param.GAMMA)
+    res = result if result is not None else min_sets(t, Param.GAMMA)
     if not is_excellent(t, Param.GAMMA, result=res):
         return None
-    drops, stays = critical_split(t, Param.GAMMA)
+    drops, stays = critical_split(t, result=res)
     assert drops.bit_count() == res.value and satisfies(t, drops, Param.GAMMA)
     return LabeledTree(t, drops, stays)
 
 
-def tree_family_prediction(t: Graph) -> tuple[IsoKey, ...]:
+def tree_family_prediction(t: Graph, *, result: ParamResult | None = None) -> tuple[IsoKey, ...]:
     """Predicted excellent family of an excellent tree, closed form.
 
     A cut vertex whose removal drops the domination number forces the
     family down to the single-vertex graph. Otherwise the tree is a
     corona and the family is exactly the edgeless graphs up to half its
-    order.
+    order. Deleting a vertex lowers the domination number by one at
+    most, so one cover search at one below it decides each vertex
+    (critical_split). result, when given, is t's gamma ParamResult and
+    saves solving t again.
     """
     if not t.is_tree():
         raise ValueError("input must be a tree")
     if t.n < 4:
         raise ValueError("order must be at least 4")
-    if not is_excellent(t, Param.GAMMA):
+    res = result if result is not None else min_sets(t, Param.GAMMA)
+    if not is_excellent(t, Param.GAMMA, result=res):
         raise ValueError("input must be excellent for domination")
-    drops, _ = critical_split(t, Param.GAMMA)
+    drops, _ = critical_split(t, result=res)
     internal = t.full_mask & ~leaves_mask(t)
     if drops & internal:
         return (canonical_key(edgeless(1)),)

@@ -134,6 +134,34 @@ def brute(g, pid: str):
     raise AssertionError(f"no set found for {pid}")
 
 
+def _edges(g) -> list[tuple[int, int]]:
+    return [(v, u) for v, row in enumerate(adjacency(g)) for u in row if v < u]
+
+
+def brute_critical_split(g) -> tuple[int, int]:
+    """(drops, stays) masks: x drops when brute gamma of g - x is smaller."""
+    base = brute(g, "gamma")[0]
+    drops = 0
+    for x in range(g.n):
+        # g - x with the vertices above x moved down by one
+        rename = [v - (v > x) for v in range(g.n)]
+        rest = from_edges(g.n - 1, [(rename[v], rename[u]) for v, u in _edges(g) if x not in (v, u)])
+        if brute(rest, "gamma")[0] < base:
+            drops |= 1 << x
+    return drops, (1 << g.n) - 1 & ~drops
+
+
+def brute_edge_critical(g) -> bool:
+    """Whether every missing edge changes brute gamma when added."""
+    base = brute(g, "gamma")[0]
+    edges = _edges(g)
+    present = set(edges)
+    for pair in combinations(range(g.n), 2):
+        if pair not in present and brute(from_edges(g.n, edges + [pair]), "gamma")[0] == base:
+            return False
+    return True
+
+
 def brute_excellent(g, pid: str) -> bool:
     _, sets = brute(g, pid)
     union = 0

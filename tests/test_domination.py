@@ -34,8 +34,9 @@ from domexc.graphs import (
     from_edges,
     path,
 )
+from domexc.trees import enumerate_trees
 from helpers import random_graph
-from oracles import brute
+from oracles import brute, brute_critical_split, brute_edge_critical
 
 
 OUTER_CONNECTED_PARAMS = (Param.OUTER_CONNECTED, Param.TOTAL_OUTER_CONNECTED)
@@ -76,9 +77,14 @@ def test_oracle_orders_six_and_seven(pid):
 MIN_SETS_SHA256 = "6a996035aecd9c4ef5fde5a67c6764f22ebbefdb830a95b6a0cc064ed9a04665"
 
 
-def test_min_sets_pinned_up_to_order_six():
+# the same rows for the 1,044 graphs of order 7, recorded before the size
+# sweep started at the packing floor; a floor above some value moves it
+MIN_SETS_7_SHA256 = "63e282339085d2b5d7bf8b0a00440d6df8e914e9f87c37f2a804d1bac8d1cae0"
+
+
+def _min_sets_rows(orders) -> list:
     rows = []
-    for n in range(1, 7):
+    for n in orders:
         for g in generate_all_graphs(n):
             for pid in PARAM_IDS:
                 try:
@@ -87,8 +93,19 @@ def test_min_sets_pinned_up_to_order_six():
                     rows.append([to_graph6(g), pid, None, None])
                     continue
                 rows.append([to_graph6(g), pid, res.value, list(res.sets)])
+    return rows
+
+
+def test_min_sets_pinned_up_to_order_six():
+    rows = _min_sets_rows(range(1, 7))
     assert len(rows) == 208 * len(PARAM_IDS)
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MIN_SETS_SHA256
+
+
+def test_min_sets_pinned_at_order_seven():
+    rows = _min_sets_rows([7])
+    assert len(rows) == 1044 * len(PARAM_IDS)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MIN_SETS_7_SHA256
 
 
 @settings(max_examples=80, deadline=None)
@@ -301,6 +318,26 @@ def test_critical_split():
     assert drops == 0b1001 and stays == 0b0110
     with pytest.raises(ValueError):
         critical_split(edgeless(1))
+
+
+def test_critical_split_reads_a_gamma_result():
+    g = path(7)
+    assert critical_split(g, result=min_sets(g, Param.GAMMA)) == critical_split(g)
+    with pytest.raises(ValueError):
+        critical_split(g, result=min_sets(g, Param.IND_DOM))
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        pytest.param(lambda: (g for n in range(2, 8) for g in generate_all_graphs(n)), id="all-2-7"),
+        pytest.param(lambda: (t for n in range(2, 11) for t in enumerate_trees(n)), id="trees-2-10"),
+    ],
+)
+def test_criticality_oracle(graphs):
+    for g in graphs():
+        assert critical_split(g) == brute_critical_split(g), to_graph6(g)
+        assert is_edge_addition_critical(g) == brute_edge_critical(g), to_graph6(g)
 
 
 def test_private_neighbors():

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from domexc.canon import canonical_key
+from domexc.catalog import generate_all_graphs
 from domexc.graphs import (
     CapacityError,
     Graph,
@@ -23,6 +25,7 @@ from domexc.graphs import (
     product_layer,
     set_of,
 )
+from domexc.trees import enumerate_trees
 
 from helpers import random_graph
 
@@ -109,6 +112,13 @@ def test_adjacency_symmetry_invariant():
 def test_masks():
     assert mask_of([0, 2, 5]) == 0b100101
     assert set_of(0b100101) == (0, 2, 5)
+    assert set_of(0) == ()
+
+
+def test_set_of_rejects_negative_masks():
+    for mask in (-1, -2, -(1 << 64)):
+        with pytest.raises(ValueError):
+            set_of(mask)
 
 
 def test_connectivity_and_components():
@@ -171,6 +181,14 @@ def test_derived_graphs_pass_the_public_check():
             g = random_graph(n, rng.getrandbits(n * (n - 1) // 2))
             for h in _derived(g, rng):
                 assert Graph(h.n, h.adj) == h
+    # level-sequence trees and key graphs are built unchecked too
+    for n in range(1, 13):
+        for t in enumerate_trees(n):
+            assert Graph(t.n, t.adj) == t and t.is_tree()
+    for n in range(1, 8):
+        for g in generate_all_graphs(n):
+            h = canonical_key(g).graph()
+            assert Graph(h.n, h.adj) == h
 
 
 def test_complement():
