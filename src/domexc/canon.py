@@ -27,6 +27,19 @@ ClassIndex keeps the first graph of each class this way for loaded
 catalog files, which key only the graphs they keep, and are_isomorphic
 runs the same two steps on a pair. tree_key is a public AHU-style key
 for trees of any supported order; tree enumeration no longer uses it.
+
+iter_induced_copies is the one enumerator of induced copies of a
+pattern of order at most PATTERN_CAP, and builds no graph per vertex
+set. A connected pattern that is not complete is matched on the
+connected sets of its order, each grown once from its largest vertex
+through an exclusive extension mask (Wernicke's ESU, 2006); any other
+pattern by a colex search over all sets that cuts on the pattern's
+edge, non-edge and degree bounds, so an edgeless pattern becomes an
+independent-set search and a complete one a clique search. A set that
+survives is tested by degree sequence and then by key, and each
+labelled shape is keyed once per call: the verdicts live in a dict
+local to the call, so catalog._FULL_CATALOGS stays the package's only
+cache.
 """
 
 from __future__ import annotations
@@ -361,33 +374,146 @@ def check_pattern_order(p: int) -> None:
 
 
 def iter_induced_copies(g: Graph, pattern: Graph):
-    """Yield induced-copy masks lazily, in ascending order."""
+    """Yield the masks of g's induced copies of pattern lazily, ascending.
+
+    A connected pattern that is not complete is matched on the connected
+    p-sets of g, grown as in Wernicke's ESU (Efficient detection of
+    network motifs, 2006): each vertex r in turn is the root and largest
+    vertex of its sets, and a set grows only into smaller vertices
+    through an exclusive extension mask (the neighbours of the new
+    vertex that are not in the set or next to it), so every connected
+    p-set is reached once. A root's sets are sorted before they are
+    yielded, and every set of a later root is larger. Every other pattern
+    (edgeless, complete or disconnected) is matched by a colex
+    depth-first search that picks vertices from the top down, trying the
+    candidates at each level in ascending order, so its masks come out
+    ascending as they are found. Both searches cut a partial set with
+    more edges or more non-edges than the pattern, or with a new vertex
+    of degree above the pattern's maximum degree; in the colex search a
+    spent edge budget keeps only non-neighbours of the set as candidates
+    and a spent non-edge budget only common neighbours, which makes E_p
+    an independent-set search and K_p a clique search. A full set of an
+    edgeless or complete pattern is a copy. Any other full set must have
+    the pattern's degree sequence, and then its labelled adjacency must
+    have the pattern's canonical key; the verdict for each labelled
+    adjacency is kept in a dict for the rest of the call, so each
+    labelled shape is keyed once per call.
+    """
     p = pattern.n
     check_pattern_order(p)
     if p == 0:
         yield 0
         return
-    pattern_edges = pattern.edge_count()
-    # an edgeless or complete pattern is fixed by its degree sequence
-    uniform = pattern_edges == 0 or pattern_edges == p * (p - 1) // 2
+    adj = g.adj
+    edges = pattern.edge_count()
+    spare = p * (p - 1) // 2 - edges  # the pattern's non-edges
+    top = pattern.max_degree()
     pat_seq = pattern.degree_sequence()
-    pat_key = None if uniform else canonical_key(pattern)
-    mask, limit = (1 << p) - 1, 1 << g.n
-    while mask < limit:
+    pat_key = None if edges == 0 or spare == 0 else canonical_key(pattern)
+    verdicts: dict[int, bool] = {}
+
+    def matches(mask: int) -> bool:
+        verts = []
         seq = []
         rest = mask
         while rest:
             low = rest & -rest
-            seq.append((g.adj[low.bit_length() - 1] & mask).bit_count())
+            v = low.bit_length() - 1
+            verts.append(v)
+            seq.append((adj[v] & mask).bit_count())
             rest ^= low
         seq.sort(reverse=True)
-        if tuple(seq) == pat_seq and (uniform or canonical_key(g.induced(mask)) == pat_key):
-            yield mask
-        # Gosper's step to the next larger mask with p bits: carry the
-        # lowest run of ones one place up, move the rest of it to the bottom
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> 2) // low
+        if tuple(seq) != pat_seq:
+            return False
+        bits = 0  # the labelled adjacency, in the graph6 triangle layout
+        for i, v in enumerate(verts):
+            row = adj[v]
+            for u in verts[:i]:
+                bits = bits << 1 | (row >> u & 1)
+        found = verdicts.get(bits)
+        if found is None:
+            found = verdicts[bits] = canonical_key(from_triangle_bits(p, bits)) == pat_key
+        return found
+
+    if pat_key is not None and pattern.is_connected():
+        yield from _esu_copies(adj, g.n, p, edges, spare, top, matches)
+    else:
+        yield from _colex_copies(adj, g.n, p, edges, spare, top, None if pat_key is None else matches)
+
+
+def _esu_copies(adj, n, p, edges, spare, top, matches):
+    """Connected induced p-sets that pass matches, ascending; see iter_induced_copies."""
+    found: list[int] = []
+
+    def grow(sub: int, size: int, e: int, ext: int, near: int, below: int) -> None:
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            d = (adj[w] & sub).bit_count()
+            if d > top or e + d > edges or size * (size + 1) // 2 - e - d > spare:
+                continue
+            if size + 1 == p:
+                if matches(sub | low):
+                    found.append(sub | low)
+                continue
+            # the new vertex's exclusive neighbours: below the root, not in
+            # the set and not next to it
+            grow(sub | low, size + 1, e + d, ext | adj[w] & below & ~near, near | adj[w], below)
+
+    for r in range(p - 1, n):
+        below = (1 << r) - 1
+        grow(1 << r, 1, 0, adj[r] & below, adj[r] | 1 << r, below)
+        if found:
+            found.sort()
+            yield from found
+            found.clear()
+
+
+def _colex_copies(adj, n, p, edges, spare, top, matches):
+    """Induced p-sets within the budgets that pass matches (None: all), ascending.
+
+    The search is iterative, so the masks stream out as they are found.
+    Level i holds the set of the first i picks, its edge count, the union
+    and the intersection of its members' neighbourhoods, and the
+    candidates left for the next pick, all below the last one.
+    """
+    subs, counts, nears, commons, cands = [0] * p, [0] * p, [0] * p, [0] * p, [0] * p
+    commons[0] = (1 << n) - 1
+    cands[0] = commons[0] & -(1 << (p - 1))
+    level = 0
+    while level >= 0:
+        cand = cands[level]
+        if not cand:
+            level -= 1
+            continue
+        low = cand & -cand
+        cands[level] = cand ^ low
+        w = low.bit_length() - 1
+        sub = subs[level]
+        d = (adj[w] & sub).bit_count()
+        e = counts[level] + d
+        if d > top or e > edges or level * (level + 1) // 2 - e > spare:
+            continue
+        mask = sub | low
+        size = level + 1
+        if size == p:
+            if matches is None or matches(mask):
+                yield mask
+            continue
+        near, common = nears[level] | adj[w], commons[level] & adj[w]
+        need = p - size
+        pool = low - 1
+        if e == edges:
+            pool &= ~near
+        if size * (size - 1) // 2 - e == spare:
+            pool &= common
+        if pool.bit_count() < need:
+            continue
+        level += 1
+        subs[level], counts[level], nears[level], commons[level] = mask, e, near, common
+        # each candidate leaves room below it for the picks after it
+        cands[level] = pool & -(1 << (need - 1))
 
 
 @dataclass(frozen=True, order=True)

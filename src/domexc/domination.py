@@ -32,7 +32,9 @@ independence: its search only adds vertices that are not yet covered,
 so every partial set stays independent. The maximum independent sets are
 exactly the independent dominating sets of the largest size that has
 one, so the independence number runs the same search with the sizes
-tried from the top down.
+tried from the top down. That sweep starts at n - |M| for a greedy
+maximal matching M, since an independent set holds at most one end of
+each matching edge.
 """
 
 from __future__ import annotations
@@ -257,23 +259,39 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
             if independent and size + allowed.bit_count() < k:
                 return False
             options, least = 0, None
-            for v in iter_bits(uncovered):
-                cnt = (foot[v] & allowed).bit_count()
+            while uncovered:
+                low = uncovered & -uncovered
+                uncovered ^= low
+                row = foot[low.bit_length() - 1] & allowed
+                cnt = row.bit_count()
                 if least is None or cnt < least:
-                    options, least = foot[v] & allowed, cnt
+                    options, least = row, cnt
                     if cnt <= 1:
                         break
         hit = False
-        for u in iter_bits(options):
-            if dfs(s | (1 << u), covered | foot[u], banned):
+        while options:
+            low = options & -options
+            options ^= low
+            if dfs(s | low, covered | foot[low.bit_length() - 1], banned):
                 hit = True
                 if first_only:
                     return True
-            banned |= 1 << u
+            banned |= low
         return hit
 
     dfs(0, 0, 0)
     return sorted(results)
+
+
+def _matching_size(g: Graph) -> int:
+    """Edges in a greedy maximal matching: each vertex takes its least free neighbour."""
+    free, count = g.full_mask, 0
+    for v in range(g.n):
+        mate = g.adj[v] & free
+        if free >> v & 1 and mate:
+            free &= ~(1 << v | mate & -mate)
+            count += 1
+    return count
 
 
 def _solve(g: Graph, param: Param, first_only: bool) -> ParamResult:
@@ -285,8 +303,9 @@ def _solve(g: Graph, param: Param, first_only: bool) -> ParamResult:
         )
     lower = max(1, -(-g.n // (g.max_degree() + 1)))
     if param is Param.INDEPENDENCE:
-        # every maximum independent set dominates, so beta0 is the largest hit
-        sizes = range(g.n, lower - 1, -1)
+        # every maximum independent set dominates, so beta0 is the largest
+        # hit; an independent set holds one end of a matching edge at most
+        sizes = range(g.n - _matching_size(g), lower - 1, -1)
     else:
         sizes = range(max(lower, _packing_floor(_footprints(g, param))), g.n + 1)
     for k in sizes:

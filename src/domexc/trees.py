@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import IsoKey, canonical_key
-from .domination import Param, ParamResult, critical_split, min_sets, satisfies
+from .domination import Param, ParamResult, critical_split, min_sets
 from .excellence import is_excellent
 from .graph6 import to_graph6
 from .graphs import Graph, _trusted, coalescence, corona1, edgeless, iter_bits, set_of
@@ -161,6 +161,8 @@ def excellent_tree_labeling(t: Graph, *, result: ParamResult | None = None) -> L
     vertex lowers the domination number by one at most, so each vertex
     is labelled by one cover search at one below it (critical_split).
     result, when given, is t's gamma ParamResult and saves solving t again.
+    The labeling is returned unchecked; the tree-labeling claim checks
+    that its 0 side is a minimum dominating set.
     """
     if not t.is_tree():
         raise ValueError("input must be a tree")
@@ -170,7 +172,6 @@ def excellent_tree_labeling(t: Graph, *, result: ParamResult | None = None) -> L
     if not is_excellent(t, Param.GAMMA, result=res):
         return None
     drops, stays = critical_split(t, result=res)
-    assert drops.bit_count() == res.value and satisfies(t, drops, Param.GAMMA)
     return LabeledTree(t, drops, stays)
 
 
@@ -183,7 +184,8 @@ def tree_family_prediction(t: Graph, *, result: ParamResult | None = None) -> tu
     order. Deleting a vertex lowers the domination number by one at
     most, so one cover search at one below it decides each vertex
     (critical_split). result, when given, is t's gamma ParamResult and
-    saves solving t again.
+    saves solving t again. The prediction is not checked here; the
+    tree-families claim compares it with the computed family.
     """
     if not t.is_tree():
         raise ValueError("input must be a tree")
@@ -196,5 +198,4 @@ def tree_family_prediction(t: Graph, *, result: ParamResult | None = None) -> tu
     internal = t.full_mask & ~leaves_mask(t)
     if drops & internal:
         return (canonical_key(edgeless(1)),)
-    assert corona_base(t) is not None
     return tuple(canonical_key(edgeless(r)) for r in range(1, t.n // 2 + 1))

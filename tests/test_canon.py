@@ -326,12 +326,91 @@ def test_induced_copies_counts():
     assert induced_copies(cycle(5), complete(3)) == []
     assert induced_copies(cycle(5), edgeless(1)) == [1, 2, 4, 8, 16]
     assert induced_copies(path(3), edgeless(0)) == [0]
+    # patterns larger than the host, through both searches
+    assert induced_copies(path(3), cycle(4)) == induced_copies(path(3), edgeless(4)) == []
 
 
 def test_induced_copies_sorted_lazy_agreement():
     g = random_graph(7, 0b110010111010001100110)
     got = list(iter_induced_copies(g, path(3)))
     assert got == sorted(got) == induced_copies(g, path(3))
+
+
+def _copy_hosts(rng, orders, count):
+    """Seeded relabelled hosts: sparse, mid and dense, connected or split in two."""
+    hosts = []
+    for i in range(count):
+        n = rng.choice(orders)
+        density = (0.2, 0.5, 0.8)[i % 3]
+        bits = sum(1 << b for b in range(n * (n - 1) // 2) if rng.random() < density)
+        g = random_graph(n, bits)
+        if i % 2:
+            cut = rng.randrange(1, n)
+            g = disjoint_union([g.induced((1 << cut) - 1), g.induced(g.full_mask >> cut << cut)])
+        hosts.append(shuffled(g, rng.randrange(1 << 30)))
+    return hosts
+
+
+def _check_copies(g, pattern):
+    want = brute_copies(g, pattern)
+    got = induced_copies(g, pattern)
+    assert got == want and got == sorted(set(got)), (to_graph6(g), to_graph6(pattern))
+    gen = iter_induced_copies(g, pattern)
+    assert next(gen, None) == (want[0] if want else None)
+    gen.close()
+
+
+def test_induced_copies_oracle_small_patterns():
+    rng = random.Random(24)
+    hosts = _copy_hosts(rng, range(5, 11), 9)
+    for p in range(1, 6):
+        for key in generate_all_graphs(p).keys:
+            pattern = shuffled(key.graph(), rng.randrange(1 << 30))
+            for g in hosts:
+                _check_copies(g, pattern)
+
+
+def test_induced_copies_oracle_larger_patterns():
+    rng = random.Random(25)
+    # structured hosts too, so that every pattern below has copies somewhere
+    structured = [
+        cartesian_product(cycle(3), cycle(4)),
+        cartesian_product(path(3), path(4)),
+        complete_multipartite([3, 3, 4]),
+        disjoint_union([cycle(8), complete(3), edgeless(1)]),
+        corona1(path(6)),
+    ]
+    hosts = _copy_hosts(rng, range(9, 13), 6) + [shuffled(h, rng.randrange(1 << 30)) for h in structured]
+    patterns = [
+        path(6),
+        cycle(6),
+        complete(6),
+        edgeless(6),
+        disjoint_union([complete(3), path(3)]),
+        complete_multipartite([2, 2, 3]),
+        disjoint_union([path(4), edgeless(3)]),
+        cycle(8),
+        disjoint_union([complete(2)] * 4),
+    ]
+    for pattern in patterns:
+        pattern = shuffled(pattern, rng.randrange(1 << 30))
+        for g in hosts:
+            _check_copies(g, pattern)
+
+
+# sha256 of the induced_copies masks, recorded before copies were grown:
+# every graph of order 6 as host against every pattern of order 3 and 4
+COPIES_SHA256 = "b8a757f20d3921847064455dfa746b90089b9f6f3be21220f05c92794712f584"
+
+
+def test_induced_copies_pinned():
+    patterns = [key.graph() for p in (3, 4) for key in generate_all_graphs(p).keys]
+    rows = [
+        ",".join(map(str, induced_copies(g, h)))
+        for g in generate_all_graphs(6).graphs
+        for h in patterns
+    ]
+    assert hashlib.sha256(";".join(rows).encode()).hexdigest() == COPIES_SHA256
 
 
 def test_pattern_cap():

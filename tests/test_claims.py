@@ -160,3 +160,30 @@ def test_pattern_failure_lines_pinned(monkeypatch):
     monkeypatch.setattr("domexc.claims.is_pattern_excellent", lambda *a, **k: False)
     digest = failure_digest({"glued-cycles": 3, "coalescence-closure": 3})
     assert digest == "2b7d480df1f35705d4ef080db15efed6521ce1d9568d067cb0d7b6dc2d58ea60"
+
+
+def test_tree_claims_report_a_wrong_critical_split(monkeypatch, capsys):
+    # critical_split searching each t - x at gamma instead of gamma - 1
+    # labels too many vertices 0; the claims report it as failure lines
+    import domexc.domination as dom
+    from domexc.cli import main
+
+    real = dom.critical_split
+
+    def at_gamma(g, *, result=None):
+        res = result if result is not None else dom.min_sets(g, dom.Param.GAMMA)
+        return real(g, result=ParamResult(res.param, res.value + 1, res.sets))
+
+    monkeypatch.setattr("domexc.trees.critical_split", at_gamma)
+    rep = run_claim("tree-labeling")
+    lines = {
+        f"order {n}: {what}"
+        for n in range(4, 13)
+        for what in ("zero labels are not a dominating set", "zero labels are not optimal", "a leaf carries label one")
+    }
+    assert rep.status == "fail" and rep.computed and set(rep.computed) <= lines
+    assert run_claim("tree-families").status == "fail"
+    assert main(["verify", "--suite", "paper", "--jobs", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    status = {r["claim_id"]: r["status"] for r in report["results"]}
+    assert status["tree-labeling"] == status["tree-families"] == "fail"

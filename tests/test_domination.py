@@ -311,6 +311,49 @@ def test_sets_sorted_and_distinct():
     assert list(res.sets) == sorted(set(res.sets))
 
 
+@pytest.mark.parametrize(
+    "g, sweep",
+    [
+        # isolated vertices: no matching edge touches them, so all count
+        (edgeless(4), [4]),
+        (disjoint_union([edgeless(5), complete(2)]), [6]),
+        (disjoint_union([edgeless(3), path(4)]), [5]),
+        # beta0 = n - |M|: one search finds it
+        (path(6), [3]),
+        (complete_multipartite([2, 3]), [3]),
+        (disjoint_union([edgeless(1), cycle(6)]), [4]),
+        # C5: the greedy matching has 2 edges, beta0 is 2
+        (cycle(5), [3, 2]),
+    ],
+)
+def test_independence_sweep_starts_at_matching_bound(monkeypatch, g, sweep):
+    import domexc.domination as dom
+
+    sizes = []
+    real = dom._cover_search
+
+    def recorded(h, k, param, first_only):
+        sizes.append(k)
+        return real(h, k, param, first_only)
+
+    monkeypatch.setattr(dom, "_cover_search", recorded)
+    res = min_sets(g, Param.INDEPENDENCE)
+    assert sizes == sweep and res.value == sweep[-1]
+    assert (res.value, list(res.sets)) == brute(g, "beta0")
+
+
+def test_matching_bound_holds_up_to_order_seven():
+    from domexc.domination import _matching_size
+
+    tight = 0
+    for n in range(1, 8):
+        for g in generate_all_graphs(n):
+            bound, beta0 = n - _matching_size(g), brute(g, "beta0")[0]
+            assert bound >= beta0, to_graph6(g)
+            tight += bound == beta0
+    assert tight > 0
+
+
 def test_critical_split():
     drops, stays = critical_split(cycle(7))
     assert drops == 0b1111111 and stays == 0
