@@ -30,11 +30,8 @@ for trees of any supported order; tree enumeration no longer uses it.
 
 iter_induced_copies is the one enumerator of induced copies of a
 pattern of order at most PATTERN_CAP, and builds no graph per vertex
-set. A connected pattern that is not complete is matched on the
-connected sets of its order, each grown once from its largest vertex
-through an exclusive extension mask (Wernicke's ESU, 2006); any other
-pattern by a colex search over all sets that cuts on the pattern's
-edge, non-edge and degree bounds, so an edgeless pattern becomes an
+set. A colex search over the vertex sets cuts on the pattern's edge,
+non-edge and degree bounds, so an edgeless pattern becomes an
 independent-set search and a complete one a clique search. A set that
 survives is tested by degree sequence and then by key, and each
 labelled shape is keyed once per call: the verdicts live in a dict
@@ -376,28 +373,20 @@ def check_pattern_order(p: int) -> None:
 def iter_induced_copies(g: Graph, pattern: Graph):
     """Yield the masks of g's induced copies of pattern lazily, ascending.
 
-    A connected pattern that is not complete is matched on the connected
-    p-sets of g, grown as in Wernicke's ESU (Efficient detection of
-    network motifs, 2006): each vertex r in turn is the root and largest
-    vertex of its sets, and a set grows only into smaller vertices
-    through an exclusive extension mask (the neighbours of the new
-    vertex that are not in the set or next to it), so every connected
-    p-set is reached once. A root's sets are sorted before they are
-    yielded, and every set of a later root is larger. Every other pattern
-    (edgeless, complete or disconnected) is matched by a colex
-    depth-first search that picks vertices from the top down, trying the
-    candidates at each level in ascending order, so its masks come out
-    ascending as they are found. Both searches cut a partial set with
-    more edges or more non-edges than the pattern, or with a new vertex
-    of degree above the pattern's maximum degree; in the colex search a
-    spent edge budget keeps only non-neighbours of the set as candidates
-    and a spent non-edge budget only common neighbours, which makes E_p
-    an independent-set search and K_p a clique search. A full set of an
-    edgeless or complete pattern is a copy. Any other full set must have
-    the pattern's degree sequence, and then its labelled adjacency must
-    have the pattern's canonical key; the verdict for each labelled
-    adjacency is kept in a dict for the rest of the call, so each
-    labelled shape is keyed once per call.
+    The p-sets of g are searched depth first in colex order: vertices
+    are picked from the top down, and the candidates at each level are
+    tried in ascending order, so the masks come out ascending as they
+    are found. A partial set is cut when it has more edges or more
+    non-edges than the pattern, or a new vertex of degree above the
+    pattern's maximum degree. A spent edge budget keeps only
+    non-neighbours of the set as candidates and a spent non-edge budget
+    only common neighbours, which makes E_p an independent-set search
+    and K_p a clique search. A full set of an edgeless or complete
+    pattern is a copy. Any other full set must have the pattern's degree
+    sequence, and then its labelled adjacency must have the pattern's
+    canonical key; the verdict for each labelled adjacency is kept in a
+    dict for the rest of the call, so each labelled shape is keyed once
+    per call.
     """
     p = pattern.n
     check_pattern_order(p)
@@ -435,39 +424,7 @@ def iter_induced_copies(g: Graph, pattern: Graph):
             found = verdicts[bits] = canonical_key(from_triangle_bits(p, bits)) == pat_key
         return found
 
-    if pat_key is not None and pattern.is_connected():
-        yield from _esu_copies(adj, g.n, p, edges, spare, top, matches)
-    else:
-        yield from _colex_copies(adj, g.n, p, edges, spare, top, None if pat_key is None else matches)
-
-
-def _esu_copies(adj, n, p, edges, spare, top, matches):
-    """Connected induced p-sets that pass matches, ascending; see iter_induced_copies."""
-    found: list[int] = []
-
-    def grow(sub: int, size: int, e: int, ext: int, near: int, below: int) -> None:
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            d = (adj[w] & sub).bit_count()
-            if d > top or e + d > edges or size * (size + 1) // 2 - e - d > spare:
-                continue
-            if size + 1 == p:
-                if matches(sub | low):
-                    found.append(sub | low)
-                continue
-            # the new vertex's exclusive neighbours: below the root, not in
-            # the set and not next to it
-            grow(sub | low, size + 1, e + d, ext | adj[w] & below & ~near, near | adj[w], below)
-
-    for r in range(p - 1, n):
-        below = (1 << r) - 1
-        grow(1 << r, 1, 0, adj[r] & below, adj[r] | 1 << r, below)
-        if found:
-            found.sort()
-            yield from found
-            found.clear()
+    yield from _colex_copies(adj, g.n, p, edges, spare, top, None if pat_key is None else matches)
 
 
 def _colex_copies(adj, n, p, edges, spare, top, matches):

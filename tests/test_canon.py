@@ -326,7 +326,7 @@ def test_induced_copies_counts():
     assert induced_copies(cycle(5), complete(3)) == []
     assert induced_copies(cycle(5), edgeless(1)) == [1, 2, 4, 8, 16]
     assert induced_copies(path(3), edgeless(0)) == [0]
-    # patterns larger than the host, through both searches
+    # patterns larger than the host, one needing a key and one edgeless
     assert induced_copies(path(3), cycle(4)) == induced_copies(path(3), edgeless(4)) == []
 
 
@@ -398,7 +398,7 @@ def test_induced_copies_oracle_larger_patterns():
             _check_copies(g, pattern)
 
 
-# sha256 of the induced_copies masks, recorded before copies were grown:
+# sha256 of the induced_copies masks, recorded while every p-set was scanned:
 # every graph of order 6 as host against every pattern of order 3 and 4
 COPIES_SHA256 = "b8a757f20d3921847064455dfa746b90089b9f6f3be21220f05c92794712f584"
 
