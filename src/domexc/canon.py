@@ -33,17 +33,20 @@ pattern of order at most PATTERN_CAP, and builds no graph per vertex
 set. A colex search over the vertex sets cuts on the pattern's edge,
 non-edge and degree bounds, so an edgeless pattern becomes an
 independent-set search and a complete one a clique search. A set that
-survives is tested by degree sequence and then by key, and each
-labelled shape is keyed once per call: the verdicts live in a dict
-local to the call, so catalog._FULL_CATALOGS stays the package's only
-cache.
+survives is tested by degree sequence and then by key. Keys come from a
+shape dict, which maps a labelled graph's (order, triangle bits) to its
+IsoKey; the pattern's own key is looked up there too. Each call makes a
+fresh dict unless the caller passes one, and the caller's dict lives no
+longer than the caller's own work: excellence.excellent_family shares
+one across the copy passes of a single family, filled from its candidate
+closure. So catalog._FULL_CATALOGS stays the package's only cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph6 import encode_bits, from_triangle_bits
+from .graph6 import encode_bits, from_triangle_bits, triangle_bits
 from .graphs import Graph, iter_bits
 
 CANON_CAP = 12
@@ -370,7 +373,7 @@ def check_pattern_order(p: int) -> None:
         raise ValueError(f"pattern order {p} exceeds the cap {PATTERN_CAP}")
 
 
-def iter_induced_copies(g: Graph, pattern: Graph):
+def iter_induced_copies(g: Graph, pattern: Graph, *, shapes: dict | None = None):
     """Yield the masks of g's induced copies of pattern lazily, ascending.
 
     The p-sets of g are searched depth first in colex order: vertices
@@ -383,10 +386,13 @@ def iter_induced_copies(g: Graph, pattern: Graph):
     only common neighbours, which makes E_p an independent-set search
     and K_p a clique search. A full set of an edgeless or complete
     pattern is a copy. Any other full set must have the pattern's degree
-    sequence, and then its labelled adjacency must have the pattern's
-    canonical key; the verdict for each labelled adjacency is kept in a
-    dict for the rest of the call, so each labelled shape is keyed once
-    per call.
+    sequence, and then its labelled adjacency, vertices in index order,
+    must have the pattern's canonical key.
+
+    shapes maps (order, triangle bits) of a labelled graph to its IsoKey;
+    the pattern's key and every full set's key are read from it and the
+    ones missing are added, so each labelled shape is keyed once for as
+    long as the dict lives. The default is a fresh dict for this call.
     """
     p = pattern.n
     check_pattern_order(p)
@@ -398,8 +404,16 @@ def iter_induced_copies(g: Graph, pattern: Graph):
     spare = p * (p - 1) // 2 - edges  # the pattern's non-edges
     top = pattern.max_degree()
     pat_seq = pattern.degree_sequence()
-    pat_key = None if edges == 0 or spare == 0 else canonical_key(pattern)
-    verdicts: dict[int, bool] = {}
+    if shapes is None:
+        shapes = {}
+
+    def key_of(bits: int) -> IsoKey:
+        key = shapes.get((p, bits))
+        if key is None:
+            key = shapes[p, bits] = canonical_key(from_triangle_bits(p, bits))
+        return key
+
+    pat_key = None if edges == 0 or spare == 0 else key_of(triangle_bits(pattern))
 
     def matches(mask: int) -> bool:
         verts = []
@@ -419,10 +433,7 @@ def iter_induced_copies(g: Graph, pattern: Graph):
             row = adj[v]
             for u in verts[:i]:
                 bits = bits << 1 | (row >> u & 1)
-        found = verdicts.get(bits)
-        if found is None:
-            found = verdicts[bits] = canonical_key(from_triangle_bits(p, bits)) == pat_key
-        return found
+        return key_of(bits) == pat_key
 
     yield from _colex_copies(adj, g.n, p, edges, spare, top, None if pat_key is None else matches)
 

@@ -10,6 +10,13 @@ each member must appear inside an optimal set, so candidates are drawn
 from induced subgraphs of optimal sets. They are reached by vertex
 deletion from the subgraph each optimal set induces, and each labelled
 graph reached is kept and keyed once.
+
+One family call reuses what it holds. The keys of the closure go into
+one shape dict, which every candidate's copy pass reads and adds to
+(see canon.iter_induced_copies): a copy inside an optimal set has a
+labelled shape the closure has keyed, so only shapes outside every
+optimal set are keyed again, once per family. A copy's home set is read
+off a per-vertex index of the optimal sets, built once per call.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 from .canon import PATTERN_CAP, IsoKey, canonical_key, check_pattern_order, iter_induced_copies
 from .domination import Param, ParamResult, min_sets
-from .graph6 import to_graph6
+from .graph6 import to_graph6, triangle_bits
 from .graphs import Graph, iter_bits
 
 
@@ -52,20 +59,36 @@ def is_excellent(g: Graph, param: Param, *, result: ParamResult | None = None) -
     return sets_union(res.sets) == g.full_mask
 
 
-def _copy_witnesses(g: Graph, pattern: Graph, sets) -> tuple[tuple[int, int], ...] | None:
+def _set_index(g: Graph, sets) -> list[int]:
+    """index[x]: the bitmask of the positions in sets of the sets holding x."""
+    index = [0] * g.n
+    for i, d in enumerate(sets):
+        for x in iter_bits(d):
+            index[x] |= 1 << i
+    return index
+
+
+def _copy_witnesses(
+    g: Graph, pattern: Graph, sets, index: list[int], shapes: dict | None = None
+) -> tuple[tuple[int, int], ...] | None:
     """Check both excellence conditions for one pattern in one copy pass.
 
-    Returns None at the first induced copy outside every optimal set, or
-    when some vertex lies in no copy. Otherwise returns, for each vertex
-    x, the pair (smallest copy mask containing x, first set of sets
-    containing that copy).
+    index is _set_index(g, sets). The sets holding a copy are the AND of
+    its vertices' entries, and its home is the lowest of them, the first
+    set of sets containing it. Returns None at the first copy with no
+    home, or when some vertex lies in no copy. Otherwise returns, for
+    each vertex x, the pair (smallest copy mask containing x, home of
+    that copy). shapes is passed on to iter_induced_copies.
     """
     witness: list = [None] * g.n
     covered = 0
-    for copy in iter_induced_copies(g, pattern):
-        home = next((d for d in sets if copy & ~d == 0), None)
-        if home is None:
+    for copy in iter_induced_copies(g, pattern, shapes=shapes):
+        homes = -1
+        for x in iter_bits(copy):
+            homes &= index[x]
+        if not homes:
             return None
+        home = sets[(homes & -homes).bit_length() - 1]
         for x in iter_bits(copy & ~covered):
             witness[x] = (copy, home)
         covered |= copy
@@ -86,7 +109,7 @@ def is_pattern_excellent(
     if pattern.n < 1:
         raise ValueError("pattern must have at least one vertex")
     res = result if result is not None else min_sets(g, param)
-    return _copy_witnesses(g, pattern, res.sets) is not None
+    return _copy_witnesses(g, pattern, res.sets, _set_index(g, res.sets)) is not None
 
 
 def excellent_family(
@@ -99,9 +122,10 @@ def excellent_family(
     this exhaustive. They are reached as a deletion closure: the graph
     each optimal set induces, then one vertex deleted at a time down to a
     single vertex, which gives the labelled graph of every nonempty
-    subset of every optimal set; each is kept once and keyed once. A
-    non-excellent graph yields no members; an optimal set past the
-    pattern cap raises ValueError before candidates are built.
+    subset of every optimal set; each is kept once and keyed once, and
+    those keys fill the shape dict that every candidate's copy pass
+    shares. A non-excellent graph yields no members; an optimal set
+    past the pattern cap raises ValueError before candidates are built.
     """
     res = result if result is not None else min_sets(g, param)
     if sets_union(res.sets) != g.full_mask:
@@ -115,12 +139,16 @@ def excellent_family(
     while level:
         level = {h.delete_vertex(v) for h in level if h.n > 1 for v in range(h.n)}
         labelled |= level
-    candidates = {canonical_key(h) for h in labelled}
+    shapes = {(h.n, triangle_bits(h)): canonical_key(h) for h in labelled}
+    candidates = set(shapes.values())
+    # each copy pass below takes its candidate's canonical form as the pattern
+    shapes.update(((k.n, k.bits), k) for k in candidates)
 
+    index = _set_index(g, res.sets)
     members = []
     witnesses = []
     for key in sorted(candidates, key=lambda k: (k.n, k.bits.bit_count(), k.bits)):
-        witness = _copy_witnesses(g, key.graph(), res.sets)
+        witness = _copy_witnesses(g, key.graph(), res.sets, index, shapes)
         if witness is not None:
             members.append(key)
             witnesses.append(witness)

@@ -187,9 +187,13 @@ class Graph:
         return _trusted(len(verts), tuple(rows))
 
     def delete_vertex(self, v: int) -> "Graph":
+        """The graph without v; the vertices above v move down by one."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
-        return self.induced(self.full_mask & ~(1 << v))
+        # each row keeps its bits below v and shifts those above v down over it
+        low = (1 << v) - 1
+        rows = self.adj[:v] + self.adj[v + 1 :]
+        return _trusted(self.n - 1, tuple(row & low | row >> 1 & ~low for row in rows))
 
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v or self.has_edge(u, v):

@@ -398,6 +398,22 @@ def test_induced_copies_oracle_larger_patterns():
             _check_copies(g, pattern)
 
 
+def test_induced_copies_share_one_shape_dict():
+    # one dict across patterns of every order: a shape is known by its order
+    # and its bits together, as orders 3 and 4 share bit strings
+    rng = random.Random(26)
+    hosts = _copy_hosts(rng, range(8, 13), 20)
+    patterns = [key.graph() for p in range(1, 7) for key in generate_all_graphs(p).keys]
+    for j, g in enumerate(hosts):
+        shapes = {}
+        for i, pattern in enumerate(patterns):
+            shared = list(iter_induced_copies(g, pattern, shapes=shapes))
+            assert shared == induced_copies(g, pattern), (to_graph6(g), to_graph6(pattern))
+            # the oracle is slow: each pattern meets it on a quarter of the hosts
+            if (i + j) % 4 == 0:
+                assert shared == brute_copies(g, pattern), (to_graph6(g), to_graph6(pattern))
+
+
 # sha256 of the induced_copies masks, recorded while every p-set was scanned:
 # every graph of order 6 as host against every pattern of order 3 and 4
 COPIES_SHA256 = "b8a757f20d3921847064455dfa746b90089b9f6f3be21220f05c92794712f584"

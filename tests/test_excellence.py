@@ -11,7 +11,7 @@ import pytest
 
 from domexc.canon import canonical_key, induced_copies
 from domexc.catalog import generate_all_graphs, generate_regular
-from domexc.domination import Param, ParameterUndefinedError, min_sets
+from domexc.domination import PARAM_IDS, Param, ParameterUndefinedError, min_sets
 from domexc.excellence import (
     describe_pattern,
     excellent_family,
@@ -186,11 +186,16 @@ def test_witness_certificates():
 
 def test_witness_is_smallest_copy_in_first_home():
     # witness[j][x]: the smallest copy of member j holding x, and the first
-    # optimal set, in result order, holding that copy
-    for n in range(1, 7):
-        for g in generate_all_graphs(n):
-            for par in (Param.GAMMA, Param.IND_DOM):
-                res = min_sets(g, par)
+    # optimal set, in result order, holding that copy; found here by a scan
+    # under every parameter, whose set orders differ
+    for pid in PARAM_IDS:
+        par = Param.from_id(pid)
+        for n in range(1, 7):
+            for g in generate_all_graphs(n):
+                try:
+                    res = min_sets(g, par)
+                except ParameterUndefinedError:
+                    continue
                 fam = excellent_family(g, par, result=res)
                 for key, per_vertex in zip(fam.members, fam.witness):
                     copies = brute_copies(g, key.graph())

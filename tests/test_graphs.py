@@ -160,6 +160,18 @@ def test_induced_and_delete_reject_outside_vertices():
     assert g.induced(g.full_mask) == g
 
 
+def test_delete_vertex_matches_induced():
+    # the row splice is the induced subgraph on every other vertex, and valid
+    rng = random.Random(25)
+    for n in range(1, 65):
+        density = (0.2, 0.5, 0.8)[n % 3]
+        g = random_graph(n, sum(1 << b for b in range(n * (n - 1) // 2) if rng.random() < density))
+        for v in range(n):
+            h = g.delete_vertex(v)
+            assert h == g.induced(g.full_mask & ~(1 << v))
+            assert h == Graph(h.n, h.adj)
+
+
 def _derived(g: Graph, rng: random.Random):
     """One result of each derived-graph operation on g, from seeded choices."""
     yield g.induced(rng.getrandbits(g.n))
