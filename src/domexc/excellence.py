@@ -59,13 +59,26 @@ def is_excellent(g: Graph, param: Param, *, result: ParamResult | None = None) -
     return sets_union(res.sets) == g.full_mask
 
 
+# _BIT_DIGITS[b] maps each byte to its bit b as an ASCII digit, b"0" or b"1"
+_BIT_DIGITS = tuple(bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8))
+
+
 def _set_index(g: Graph, sets) -> list[int]:
-    """index[x]: the bitmask of the positions in sets of the sets holding x."""
-    index = [0] * g.n
-    for i, d in enumerate(sets):
-        for x in iter_bits(d):
-            index[x] |= 1 << i
-    return index
+    """index[x]: the bitmask of the positions in sets of the sets holding x.
+
+    The sets are packed into one bytes string, a row of whole bytes per
+    set, so x's column is a strided slice. Its bit in each row becomes an
+    ASCII digit, and the digits, last set first, are read as a base-2
+    int. Only the packing loops in Python, so the cost stays linear in
+    the number of sets where an int OR per member would copy the mask
+    built so far.
+    """
+    width = g.n + 7 >> 3
+    packed = b"".join([d.to_bytes(width, "little") for d in sets])
+    return [
+        int(packed[x >> 3 :: width].translate(_BIT_DIGITS[x & 7])[::-1] or b"0", 2)
+        for x in range(g.n)
+    ]
 
 
 def _copy_witnesses(

@@ -13,6 +13,7 @@ from domexc.canon import canonical_key, induced_copies
 from domexc.catalog import generate_all_graphs, generate_regular
 from domexc.domination import PARAM_IDS, Param, ParameterUndefinedError, min_sets
 from domexc.excellence import (
+    _set_index,
     describe_pattern,
     excellent_family,
     family_names,
@@ -203,6 +204,16 @@ def test_witness_is_smallest_copy_in_first_home():
                         copy = min(c for c in copies if c >> x & 1)
                         home = next(d for d in res.sets if copy & ~d == 0)
                         assert cert == (copy, home)
+
+
+def test_set_index_is_membership_by_position():
+    # rows that cross byte boundaries, set counts that do not fill a byte, no sets
+    rng = random.Random(25)
+    for n in (1, 7, 8, 9, 17, 64):
+        for count in (0, 1, 7, 8, 9, 100):
+            sets = [rng.getrandbits(n) for _ in range(count)]
+            want = [sum(1 << i for i, d in enumerate(sets) if d >> x & 1) for x in range(n)]
+            assert _set_index(edgeless(n), sets) == want
 
 
 def test_sets_union():
