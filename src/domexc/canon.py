@@ -13,20 +13,20 @@ to where the two paths part when that automorphism maps one branch onto
 the other and fixes the cells there; no automorphism is kept. Of two
 unplaced twins only one is tried, as swapping them is an automorphism.
 
-Isomorphism at every order up to 64 vertices is decided without keys, in
-the refine-then-match style of the same paper. Vertices start coloured
-by (degree, triangles at v, vertices at distance 2), and the colouring
-is refined by neighbour-colour multisets until no cell splits or every
-cell is one vertex. Colour ids are ranks of signatures, so the signature
-rounds hash to a label-free bucket key. Within a bucket a backtracking
-matcher maps vertices onto vertices of the same colour, with candidates
-kept as bitmasks, and proves or refutes isomorphism exactly. It stops
-after MATCH_BUDGET search nodes: up to CANON_CAP the lex-min keys then
-decide, and above it MatchBudgetError (a ValueError) is raised.
-ClassIndex keeps the first graph of each class this way for loaded
-catalog files, which key only the graphs they keep, and are_isomorphic
-runs the same two steps on a pair. tree_key is a public AHU-style key
-for trees of any supported order; tree enumeration no longer uses it.
+Isomorphism at every order up to 64 vertices is decided by the lex-max
+labelling, whose neighbour rows, read in turn with column 0 first and 1
+beating 0, form the largest string. _lex_max_prefix is Read's orderly
+test for it (Every one a winner, 1978), searched over cells with tie
+unwinding as above and pruned by the orbits of the ties it finds; the
+catalog generators run it on partial graphs. _lex_max_rows climbs to a
+graph's lex-max rows: it starts from a greedy labelling and relabels by
+the greedy completion of each prefix the exact test rejects, until the
+test accepts. Above CANON_CAP the exact tests stop after MATCH_BUDGET
+search nodes with MatchBudgetError (a ValueError). ClassIndex keeps the
+first graph of each class by those rows for loaded catalog files, which
+key only the graphs they keep, and are_isomorphic compares them.
+tree_key is a public AHU-style key for trees of any supported order;
+tree enumeration no longer uses it.
 
 iter_induced_copies is the one enumerator of induced copies of a
 pattern of order at most PATTERN_CAP, and builds no graph per vertex
@@ -51,7 +51,7 @@ from .graphs import Graph, iter_bits
 
 CANON_CAP = 12
 PATTERN_CAP = 8
-MATCH_BUDGET = 1 << 16  # matcher search nodes per pair
+MATCH_BUDGET = 1 << 16  # exact-test search nodes per identity above CANON_CAP
 
 
 @dataclass(frozen=True, order=True)
@@ -197,165 +197,162 @@ def canonical_key(g: Graph) -> IsoKey:
 
 
 class MatchBudgetError(ValueError):
-    """The matcher ran out of nodes on graphs too large for canonical_key."""
+    """A graph above CANON_CAP spent MATCH_BUDGET exact-test nodes on its identity."""
 
 
-@dataclass(frozen=True)
-class _Form:
-    """A graph with its bucket key and refined vertex colours.
+def _lex_max_prefix(rows: list[int], v: int, budget: list[int] | None = None) -> bool | list[int]:
+    """True, or a prefix of a relabelling that makes rows 0..v lexicographically larger.
 
-    key is label-free: isomorphic graphs have equal keys, and an
-    isomorphism maps each vertex to one of the same colour. cells[c] is
-    the mask of the vertices of colour c.
+    rows[w] is the neighbour mask of w. Rows 0..v are complete, so every
+    row's adjacency to vertices 0..v is known too. A row is read as a bit
+    string, column 0 first, and 1 beats 0. Position i of a relabelling
+    takes a decided vertex x from the first cell of an ordered partition
+    of the unplaced vertices. Its new row puts x's neighbours first within
+    each cell, the largest row any refinement of the partition gives it,
+    and each cell then splits into x's neighbours and the rest. Columns
+    before i agree by symmetry, so the row is compared from column i on:
+    a larger row rejects, a smaller one ends the branch, an equal one goes
+    on. The identity is searched first. A relabelling that ties on rows
+    0..v is an automorphism of the decided part; it maps the identity's
+    branch at the first position where the two part onto the tie's branch
+    there, and the identity's branch was searched first, so the search
+    unwinds to that position. At v = n - 1 this is the exact lex-max test,
+    and there each such tie is also kept: once a candidate has been
+    searched, every candidate the kept ties that fix the prefix map it to
+    is skipped, as its subtree mirrors the searched one.
+
+    On rejection the vertices placed at positions 0..i, the last one the
+    x whose row i is larger, are returned: any completion of them that
+    keeps drawing from the first cell ties rows 0..i-1 and beats row i.
+    budget, when given, is a one-item list of the search nodes left, which
+    calls may share; MatchBudgetError is raised once it is spent.
     """
+    n = len(rows)
+    decided = (1 << v + 1) - 1
+    order = [0] * (v + 1)
+    # ties[k][w]: the image of w; kept by the exact test only, as the partial
+    # tests of the orderly generators tie often and gain less than it costs
+    ties: list[list[int]] = []
 
-    g: Graph
-    key: int
-    colour: tuple[int, ...]
-    cells: tuple[int, ...]
-
-
-def _form(g: Graph) -> _Form:
-    """Colour g's vertices by refinement and key it by the rounds.
-
-    A vertex starts with the signature (degree, triangles at v, vertices
-    at distance 2). Each round its colour is the rank of its signature
-    among the distinct ones, so no colour depends on a label, and its next
-    signature is its colour with the sorted colours of its neighbours.
-    Refinement stops when a round splits no cell or every cell is a single
-    vertex. The key hashes every round's sorted signatures. It names a
-    bucket, not a class: graphs that share it may still differ, and a
-    hash collision only merges two buckets.
-    """
-    adj = g.adj
-    nbrs = [list(iter_bits(row)) for row in adj]
-    sigs = []
-    for v, row in enumerate(adj):
-        far = tri = 0
-        for u in nbrs[v]:
-            far |= adj[u]
-            tri += (adj[u] & row).bit_count()
-        sigs.append((len(nbrs[v]), tri // 2, (far & ~row & ~(1 << v)).bit_count()))
-    rounds = []
-    cells = 0
-    while True:
-        ranks = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        rounds.append(tuple(sorted(sigs)))
-        colour = [ranks[s] for s in sigs]
-        if len(ranks) == cells:
-            break
-        cells = len(ranks)
-        if cells == g.n:
-            break
-        sigs = [(c, tuple(sorted([colour[u] for u in around]))) for c, around in zip(colour, nbrs)]
-    masks = [0] * cells
-    for v, c in enumerate(colour):
-        masks[c] |= 1 << v
-    return _Form(g, hash(tuple(rounds)), tuple(colour), tuple(masks))
-
-
-def _match(a: _Form, b: _Form) -> bool:
-    """Exact test for a colour-preserving isomorphism from a.g onto b.g.
-
-    The forms must share a key and a cell count. Vertices of a.g are
-    placed in breadth-first order, each component from a vertex of its
-    smallest cell. A candidate image is an unused vertex of b.g of the same colour
-    whose adjacency to the used vertices is the image of the vertex's
-    adjacency to the placed ones: a bitmask test that checks adjacency
-    and non-adjacency at once. Raises MatchBudgetError after MATCH_BUDGET
-    search nodes.
-    """
-    n = a.g.n
-    adj = a.g.adj
-    order: list[int] = []
-    seen = 0
-    for root in sorted(range(n), key=lambda v: a.cells[a.colour[v]].bit_count()):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        d = len(order)
-        order.append(root)
-        while d < len(order):
-            fresh = adj[order[d]] & ~seen
-            seen |= fresh
-            order.extend(iter_bits(fresh))
-            d += 1
-    # back[d]: the neighbours of order[d] placed before it
-    back = []
-    placed = 0
-    for v in order:
-        back.append(list(iter_bits(adj[v] & placed)))
-        placed |= 1 << v
-    cell = [b.cells[a.colour[v]] for v in order]
-    adj_b = b.g.adj
-    image = [0] * n  # image[v]: the bit of v's image in b.g
-    nodes = 0
-
-    def place(d: int, used: int) -> bool:
-        nonlocal nodes
-        if d == n:
-            return True
-        nodes += 1
-        if nodes > MATCH_BUDGET:
-            raise MatchBudgetError(
-                f"isomorphism test on order {n} exceeded {MATCH_BUDGET} search nodes"
-            )
-        want = 0
-        for u in back[d]:
-            want |= image[u]
-        v = order[d]
-        cand = cell[d] & ~used
+    def place(i: int, cells: list[int]) -> int:
+        """Search below a tied prefix; -1 rejects, a depth below i unwinds."""
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise MatchBudgetError(
+                    f"isomorphism test on order {n} exceeded {MATCH_BUDGET} search nodes"
+                )
+        if i > v:
+            # resume where this tie parts from the identity, searched first
+            back = next((j for j, x in enumerate(order) if x != j), i)
+            if back < i and v == n - 1:
+                ties.append(order.copy())
+            return back
+        target = rows[i] >> i + 1 << i + 1
+        cand = cells[0] & decided
+        done = 0  # the candidates searched here, closed under the ties fixing the prefix
         while cand:
             low = cand & -cand
             cand ^= low
-            if adj_b[low.bit_length() - 1] & used == want:
-                image[v] = low
-                if place(d + 1, used | low):
-                    return True
-        return False
+            x = low.bit_length() - 1
+            nbrs = rows[x]
+            rest = [cells[0] & ~(1 << x), *cells[1:]]
+            row = 0
+            start = i + 1
+            for cell in rest:
+                row |= (1 << (cell & nbrs).bit_count()) - 1 << start
+                start += cell.bit_count()
+            diff = row ^ target
+            if diff:
+                if row & diff & -diff:
+                    order[i] = x
+                    del order[i + 1 :]
+                    return -1
+                continue
+            order[i] = x
+            split = [part for cell in rest for part in (cell & nbrs, cell & ~nbrs) if part]
+            back = place(i + 1, split)
+            if back < i:
+                return back
+            done |= low
+            if ties:
+                fixing = [a for a in ties if all(a[w] == w for w in order[:i])]
+                grown = done
+                while grown:
+                    image = 0
+                    for a in fixing:
+                        for w in iter_bits(grown):
+                            image |= 1 << a[w]
+                    grown = image & ~done
+                    done |= grown
+                cand &= ~done
+        return i
 
-    return place(0, 0)
+    return place(0, [(1 << n) - 1]) >= 0 or order
 
 
-def _isomorphic(a: _Form, b: _Form) -> bool:
-    """Exact isomorphism test; past the matcher's budget, compare lex-min keys."""
-    # after a hash collision the colourings need not even match in length
-    if a.key != b.key or len(a.cells) != len(b.cells):
-        return False
-    try:
-        return _match(a, b)
-    except MatchBudgetError:
-        if a.g.n > CANON_CAP:
-            raise
-        return canonical_key(a.g) == canonical_key(b.g)
+def _greedy_order(rows: tuple[int, ...], prefix: list[int]) -> list[int]:
+    """A relabelling that starts with prefix, completed greedily.
+
+    Each position takes a vertex x of the first cell of _lex_max_prefix's
+    ordered partition, whose cells then split into x's neighbours and the
+    rest. Past the prefix, x is the first vertex of that cell with the
+    largest row by the test's rule. That row puts x's neighbours first in
+    each cell, so rows compare as their lists of neighbour counts per cell.
+    """
+    order = []
+    cells = [(1 << len(rows)) - 1]
+    for i in range(len(rows)):
+        if i < len(prefix):
+            x = prefix[i]
+        else:
+            x = max(iter_bits(cells[0]), key=lambda y: [(c & rows[y]).bit_count() for c in cells])
+        order.append(x)
+        nbrs = rows[x]
+        rest = (cells[0] & ~(1 << x), *cells[1:])
+        cells = [part for cell in rest for part in (cell & nbrs, cell & ~nbrs) if part]
+    return order
+
+
+def _lex_max_rows(g: Graph) -> tuple[int, ...]:
+    """g's neighbour rows in its lex-max labelling, the identity of its class.
+
+    The rows are climbed to. The greedy relabelling (_greedy_order) is a
+    start; while the exact test rejects, the greedy completion of its
+    rejecting prefix ties the rows before the prefix's last position and
+    beats the row there, so each step strictly raises the row string, and
+    the loop ends only once the exact test certifies the labelling. Above
+    CANON_CAP the exact tests share MATCH_BUDGET search nodes.
+    """
+    budget = [MATCH_BUDGET] if g.n > CANON_CAP else None
+    prefix: list[int] | bool = []
+    while prefix is not True:
+        g = g.relabel(_greedy_order(g.adj, prefix))
+        prefix = _lex_max_prefix(list(g.adj), g.n - 1, budget)
+    return g.adj
 
 
 class ClassIndex:
     """One graph per isomorphism class: the first graph added to it.
 
-    Graphs are bucketed by their _form key, and a new graph is compared
-    with _match only against the kept graphs of its bucket.
+    Classes are told apart by their lex-max rows (_lex_max_rows).
     """
 
     def __init__(self):
         self.graphs: list[Graph] = []
-        self._buckets: dict[tuple, list[tuple[int, _Form]]] = {}
+        self._positions: dict[tuple[int, ...], int] = {}
 
     def add(self, g: Graph) -> int:
         """Position of g's class in self.graphs; g is appended to start a new class."""
-        form = _form(g)
-        bucket = self._buckets.setdefault(form.key, [])
-        for pos, kept in bucket:
-            if _isomorphic(form, kept):
-                return pos
-        bucket.append((len(self.graphs), form))
-        self.graphs.append(g)
-        return len(self.graphs) - 1
+        pos = self._positions.setdefault(_lex_max_rows(g), len(self.graphs))
+        if pos == len(self.graphs):
+            self.graphs.append(g)
+        return pos
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test at every order, by the invariant and the matcher."""
-    return _isomorphic(_form(g), _form(h))
+    """Exact isomorphism test at every order: equal degree sequences, then lex-max rows."""
+    return g.degree_sequence() == h.degree_sequence() and _lex_max_rows(g) == _lex_max_rows(h)
 
 
 def induced_copies(g: Graph, pattern: Graph) -> list[int]:

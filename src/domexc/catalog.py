@@ -5,14 +5,13 @@ class, reads and writes graph6 catalog files with a JSON metadata
 sidecar, and filters catalogs by domination-style queries. All graphs of
 small order and the regular graphs come from one orderly search: row v
 is a mask of later vertices (every subset, or a combination with degree
-left), and a row-by-row lex-max test prunes every labelled graph but one
-per class before it is built, so no index is needed. Each class is kept
-in its lex-max labelling. That test's only symmetry pruning is tie
-unwinding; it keeps no automorphisms and prunes no orbits. Each full
+left), and a row-by-row lex-max test (canon._lex_max_prefix) prunes
+every labelled graph but one per class before it is built, so no index
+is needed. Each class is kept in its lex-max labelling. Each full
 catalog is built once per process, per n for all graphs and per (n, k)
 for regular ones; a connected catalog is the connected subsequence of
 the full one. A loaded file is deduplicated through a canon.ClassIndex,
-keeping each class's first line.
+by the same test, keeping each class's first line.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
-from .canon import CANON_CAP, ClassIndex, IsoKey, canonical_key
+from .canon import CANON_CAP, ClassIndex, IsoKey, _lex_max_prefix, canonical_key
 from .domination import PARAM_IDS, Param, ParameterUndefinedError, ParamResult, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
 from .graph6 import parse_lines, to_graph6, triangle_bits
@@ -82,59 +81,6 @@ def _residual_realizable(res: list[int]) -> bool:
     return True
 
 
-def _lex_max_prefix(rows: list[int], v: int) -> bool:
-    """False when some relabelling makes rows 0..v lexicographically larger.
-
-    rows[w] is the neighbour mask of w. Rows 0..v are complete, so every
-    row's adjacency to vertices 0..v is known too. A row is read as a bit
-    string, column 0 first, and 1 beats 0. Position i of a relabelling
-    takes a decided vertex x from the first cell of an ordered partition
-    of the unplaced vertices. Its new row puts x's neighbours first within
-    each cell, the largest row any refinement of the partition gives it,
-    and each cell then splits into x's neighbours and the rest. Columns
-    before i agree by symmetry, so the row is compared from column i on:
-    a larger row rejects, a smaller one ends the branch, an equal one goes
-    on. The identity is searched first. A relabelling that ties on rows
-    0..v is an automorphism of the decided part; it maps the identity's
-    branch at the first position where the two part onto the tie's branch
-    there, and the identity's branch was searched first, so the search
-    unwinds to that position. That tie unwinding is the only symmetry
-    pruning: automorphisms are not kept, and no sibling is skipped by
-    orbit. At v = n - 1 this is the exact lex-max test.
-    """
-    n = len(rows)
-    decided = (1 << v + 1) - 1
-    order = [0] * (v + 1)
-
-    def place(i: int, cells: list[int]) -> int:
-        """Search below a tied prefix; -1 rejects, a depth below i unwinds."""
-        if i > v:
-            # resume where this tie parts from the identity, searched first
-            return next((j for j, x in enumerate(order) if x != j), i)
-        target = rows[i] >> i + 1 << i + 1
-        for x in iter_bits(cells[0] & decided):
-            nbrs = rows[x]
-            rest = [cells[0] & ~(1 << x), *cells[1:]]
-            row = 0
-            start = i + 1
-            for cell in rest:
-                row |= (1 << (cell & nbrs).bit_count()) - 1 << start
-                start += cell.bit_count()
-            diff = row ^ target
-            if diff:
-                if row & diff & -diff:
-                    return -1
-                continue
-            order[i] = x
-            split = [part for cell in rest for part in (cell & nbrs, cell & ~nbrs) if part]
-            back = place(i + 1, split)
-            if back < i:
-                return back
-        return i
-
-    return place(0, [(1 << n) - 1]) >= 0
-
-
 def _orderly(n: int, row_options) -> list[Graph]:
     """The lex-max labelling of every class of order n the rows allow.
 
@@ -153,7 +99,7 @@ def _orderly(n: int, row_options) -> list[Graph]:
     rows = [0] * n
 
     def extend(v: int):
-        if v and not _lex_max_prefix(rows, v - 1):
+        if v and _lex_max_prefix(rows, v - 1) is not True:
             return
         if v == n:
             graphs.append(_trusted(n, tuple(rows)))

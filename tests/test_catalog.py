@@ -9,7 +9,14 @@ from collections import Counter
 import pytest
 
 from domexc import catalog, excellence
-from domexc.canon import ClassIndex, IsoKey, canonical_key
+from domexc.canon import (
+    ClassIndex,
+    IsoKey,
+    _greedy_order,
+    _lex_max_rows,
+    are_isomorphic,
+    canonical_key,
+)
 from domexc.catalog import (
     ALL_GRAPHS_CAP,
     Catalog,
@@ -24,9 +31,9 @@ from domexc.catalog import (
 from domexc.domination import Param, ParameterUndefinedError, min_sets
 from domexc.excellence import is_excellent, is_pattern_excellent
 from domexc.graph6 import to_graph6, triangle_bits
-from domexc.graphs import Graph, complete, cycle, path
+from domexc.graphs import Graph, complete, cycle, disjoint_union, path
 
-from helpers import random_graph, shuffled
+from helpers import hypercube, kneser, random_graph, shuffled
 
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
@@ -228,9 +235,27 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
         beaten = any(
             beats_decided_rows(rows, v, p) for p in itertools.permutations(range(len(rows)))
         )
-        assert catalog._lex_max_prefix(rows, v) == (not beaten), (rows, v)
+        got = catalog._lex_max_prefix(rows, v)
+        assert (got is True) == (not beaten), (rows, v)
+        if beaten:
+            # the rejecting prefix, completed greedily, is a relabelling that beats
+            assert beats_decided_rows(rows, v, _greedy_order(rows, got)), (rows, v, got)
         rejected += beaten
     assert 0 < rejected < len(cases)
+
+
+def test_lex_max_rows_oracle():
+    # the identity's rows are the lex-max labelling, by brute force up to order 6
+    for n in range(1, 7):
+        for i, g in enumerate(generate_all_graphs(n)):
+            for seed in (2 * i, 2 * i + 1):
+                assert is_lex_max(Graph(n, _lex_max_rows(shuffled(g, seed))))
+    # the generators keep each class in that labelling, so a relabelled copy
+    # climbs back to the generated rows
+    for cat in (generate_all_graphs(7), generate_regular(12, 4)):
+        for i, g in enumerate(cat):
+            assert _lex_max_rows(g) == _lex_max_rows(shuffled(g, i)) == g.adj
+        assert len({g.adj for g in cat}) == len(cat)
 
 
 def test_regular_builds_one_graph_per_class(monkeypatch):
@@ -390,6 +415,56 @@ def test_load_relabelled_pair_beyond_canonical_cap(tmp_path):
     assert len(cat) == 2 and a in cat.graphs and c in cat.graphs
     assert cat.warnings == ("line 3 duplicates line 1 up to isomorphism",)
     assert list(cat.keys) == sorted(IsoKey(13, triangle_bits(g)) for g in (a, c))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: hypercube(6).complement(), lambda: kneser(8, 3), lambda: kneser(8, 3).complement()],
+    ids=["co-Q6", "K(8,3)", "co-K(8,3)"],
+)
+def test_load_relabelled_vertex_transitive_pair(tmp_path, build):
+    # dense vertex-transitive graphs of order 56 and 64: no vertex invariant
+    # splits them, so the labelling search alone must decide the pair
+    a = build()
+    b = shuffled(a, 1)
+    assert are_isomorphic(a, b)
+    f = tmp_path / "pair.g6"
+    f.write_text(to_graph6(a) + "\n" + to_graph6(b) + "\n")
+    cat = load_catalog(f)
+    assert cat.graphs == (a,)
+    assert cat.warnings == ("line 2 duplicates line 1 up to isomorphism",)
+
+
+def mixed_catalog_lines() -> list[str]:
+    """Seeded graph6 lines of order 5-16: random graphs, cycles and cycle
+    unions, their complements, relabellings, and repeats of all of these."""
+    rng = random.Random(26)
+    pool = []
+    for n in range(5, 17):
+        pool += [random_graph(n, rng.getrandbits(n * (n - 1) // 2)), cycle(n)]
+        pool.append(disjoint_union([cycle(3), cycle(n - 3)]) if n >= 6 else cycle(n).complement())
+    lines = []
+    for _ in range(150):
+        g = rng.choice(pool)
+        if rng.random() < 0.4:
+            g = g.complement()
+        if rng.random() < 0.6:
+            g = shuffled(g, rng.getrandbits(32))
+        lines.append(to_graph6(g) + "\n")
+    return lines
+
+
+def test_load_catalog_bytes_pinned(tmp_path):
+    # sha256 of the kept lines in catalog order, then the warnings, recorded
+    # while a colour-refinement matcher decided the duplicates
+    f = tmp_path / "mixed.g6"
+    f.write_text("".join(mixed_catalog_lines()))
+    cat = load_catalog(f)
+    assert (len(cat), len(cat.warnings)) == (58, 92)
+    text = "".join(to_graph6(g) + "\n" for g in cat.graphs)
+    text += "".join(w + "\n" for w in cat.warnings)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c74214083455240f0e9522e3a8bd9f47043fac3d58627100a548ea4971e12abe"
 
 
 def test_search_param_filter():
