@@ -7,7 +7,9 @@ small order and the regular graphs come from one orderly search: row v
 is a mask of later vertices (every subset, or a combination with degree
 left), and a row-by-row lex-max test (canon._lex_max_prefix) prunes
 every labelled graph but one per class before it is built, so no index
-is needed. Each class is kept in its lex-max labelling. Each full
+is needed. The test of rows 0..v-1 runs only where row v has two or more
+options; with one, the test below or at the leaf rejects all it would.
+Each class is kept in its lex-max labelling. Each full
 catalog is built once per process, per n for all graphs and per (n, k)
 for regular ones; a connected catalog is the connected subsequence of
 the full one. A loaded file is deduplicated through a canon.ClassIndex,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 from pathlib import Path
 
 from .canon import CANON_CAP, ClassIndex, IsoKey, _lex_max_prefix, canonical_key
@@ -87,11 +89,19 @@ def _orderly(n: int, row_options) -> list[Graph]:
     An orderly search (Read, Every one a winner, 1978; Meringer 1999).
     Neighbour rows are filled vertex by vertex: row_options(rows, v) yields
     the masks of later vertices row v may join, and rows[w] already holds
-    w's neighbours among 0..v-1. Once row v is fixed, the partial graph
-    goes on only if no relabelling makes rows 0..v lexicographically larger
-    (_lex_max_prefix). The lex-max labelling of each class passes every
-    such test, and at the last row the test is exact, so each leaf is the
-    lex-max labelling of a new class, whatever order the options come in.
+    w's neighbours among 0..v-1. Before row v is chosen, the partial graph
+    goes on only if no relabelling makes rows 0..v-1 lexicographically
+    larger (_lex_max_prefix). The lex-max labelling of each class passes
+    every such test, and at the leaf the test of all rows is exact, so each
+    leaf is the lex-max labelling of a new class, whatever order the
+    options come in.
+
+    A partial test only prunes, so it runs only where the search branches:
+    when row v has two or more options (two are drawn to tell). Choosing
+    row v changes only the edges from v to later vertices, so a relabelling
+    that beats rows 0..v-1 also beats rows 0..v; with one option the test
+    of the child, or the exact test at the leaf, rejects all the skipped
+    test would, and with none there is nothing below to prune.
     One Graph is built per leaf, unchecked: the rows are symmetric and
     loop-free by construction.
     """
@@ -99,13 +109,19 @@ def _orderly(n: int, row_options) -> list[Graph]:
     rows = [0] * n
 
     def extend(v: int):
-        if v and _lex_max_prefix(rows, v - 1) is not True:
-            return
         if v == n:
-            graphs.append(_trusted(n, tuple(rows)))
+            if _lex_max_prefix(rows, n - 1) is True:
+                graphs.append(_trusted(n, tuple(rows)))
             return
+        options = iter(row_options(rows, v))
+        if v:
+            # rows 0..v-1 are tested only where row v branches
+            peek = list(islice(options, 2))
+            if len(peek) == 2 and _lex_max_prefix(rows, v - 1) is not True:
+                return
+            options = chain(peek, options)
         before = rows[v]
-        for mask in row_options(rows, v):
+        for mask in options:
             rows[v] = before | mask
             for w in iter_bits(mask):
                 rows[w] ^= 1 << v

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .canon import PATTERN_CAP, IsoKey, canonical_key, check_pattern_order, iter_induced_copies
 from .domination import Param, ParamResult, min_sets
 from .graph6 import to_graph6, triangle_bits
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _induced_rows, _trusted
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,19 @@ def _copy_witnesses(
     covered = 0
     for copy in iter_induced_copies(g, pattern, shapes=shapes):
         homes = -1
-        for x in iter_bits(copy):
-            homes &= index[x]
+        rest = copy
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            homes &= index[low.bit_length() - 1]
         if not homes:
             return None
         home = sets[(homes & -homes).bit_length() - 1]
-        for x in iter_bits(copy & ~covered):
-            witness[x] = (copy, home)
+        rest = copy & ~covered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            witness[low.bit_length() - 1] = (copy, home)
         covered |= copy
     if covered != g.full_mask:
         return None
@@ -146,8 +152,9 @@ def excellent_family(
     # candidates take every order up to the largest set; name the first past the cap
     check_pattern_order(min(max(d.bit_count() for d in res.sets), PATTERN_CAP + 1))
 
-    # every nonempty subset of an optimal set, one vertex deletion at a time
-    level = {g.induced(d) for d in res.sets if d}
+    # every nonempty subset of an optimal set, one vertex deletion at a time;
+    # the sets' induced rows are deduplicated before any graph is built
+    level = {_trusted(len(rows), rows) for rows in {_induced_rows(g.adj, d) for d in res.sets if d}}
     labelled = set(level)
     while level:
         level = {h.delete_vertex(v) for h in level if h.n > 1 for v in range(h.n)}

@@ -176,15 +176,8 @@ class Graph:
         """Induced subgraph on mask, vertices renumbered in index order."""
         if not 0 <= mask <= self.full_mask:
             raise ValueError(f"vertex mask {mask:#x} outside 0..{self.full_mask:#x}")
-        verts = set_of(mask)
-        pos = {v: i for i, v in enumerate(verts)}
-        rows = []
-        for v in verts:
-            row = 0
-            for u in iter_bits(self.adj[v] & mask):
-                row |= 1 << pos[u]
-            rows.append(row)
-        return _trusted(len(verts), tuple(rows))
+        rows = _induced_rows(self.adj, mask)
+        return _trusted(len(rows), rows)
 
     def delete_vertex(self, v: int) -> "Graph":
         """The graph without v; the vertices above v move down by one."""
@@ -231,6 +224,28 @@ class Graph:
 def _check_order(n: int) -> None:
     if not 0 <= n <= CAPACITY:
         raise CapacityError(f"order {n} outside supported range 0..{CAPACITY}")
+
+
+def _induced_rows(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The rows of the subgraph adj induces on mask, vertices renumbered in index order.
+
+    A neighbour u of a kept vertex moves to position popcount(mask below u).
+    mask must be a non-negative submask of the vertices; Graph.induced
+    checks it.
+    """
+    rows = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        nbrs = adj[low.bit_length() - 1] & mask
+        row = 0
+        while nbrs:
+            bit = nbrs & -nbrs
+            nbrs ^= bit
+            row |= 1 << (mask & bit - 1).bit_count()
+        rows.append(row)
+    return tuple(rows)
 
 
 def _trusted(n: int, rows: tuple[int, ...]) -> Graph:

@@ -194,31 +194,46 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
     # rows 0..v are decided and the undecided vertices are joined only to
     # decided ones
     cases = [([10, 9, 0, 3], 2)]
-    # every prefix generate_regular tests up to order 7: regular prefixes
-    # tie far more often than random ones, so they exercise tie unwinding;
-    # then every prefix generate_all_graphs tests up to order 5
+    # every prefix the searches of generate_regular visit up to order 7,
+    # tested or skipped where the next row has one option, and every leaf:
+    # regular prefixes tie far more often than random ones, so they exercise
+    # tie unwinding; then every prefix generate_all_graphs visits up to order 5
+    visited = []
     tested = []
 
     def recorded(rows, v):
-        tested.append((rows.copy(), v))
+        tested.append(v)
+        if v == len(rows) - 1:
+            visited.append((rows.copy(), v))
         return lex_max_prefix(rows, v)
 
+    def visiting(n, row_options):
+        def options(rows, v):
+            if v:
+                visited.append((rows.copy(), v - 1))
+            return row_options(rows, v)
+
+        return orderly(n, options)
+
     lex_max_prefix = catalog._lex_max_prefix
+    orderly = catalog._orderly
     per_order = []
     with monkeypatch.context() as m:
         m.setattr(catalog, "_lex_max_prefix", recorded)
+        m.setattr(catalog, "_orderly", visiting)
         catalog._FULL_CATALOGS.clear()
         for n in range(1, 8):
             for k in range(n):
                 if n * k % 2 == 0:
                     generate_regular(n, k)
-        assert len(tested) > 200
+        assert len(visited) > 200
         for n in range(1, 6):
             before = len(tested)
             generate_all_graphs(n)
             per_order.append(len(tested) - before)
-    assert per_order == [1, 4, 14, 51, 194]
-    cases += tested
+    # the tests made: rows 0..v-1 are tested only where row v has two options
+    assert per_order == [1, 2, 10, 40, 160]
+    cases += visited
     rng = random.Random(14)
     for _ in range(5000):
         n = rng.randint(1, 7)
@@ -256,6 +271,45 @@ def test_lex_max_rows_oracle():
         for i, g in enumerate(cat):
             assert _lex_max_rows(g) == _lex_max_rows(shuffled(g, i)) == g.adj
         assert len({g.adj for g in cat}) == len(cat)
+
+
+def test_partial_prefix_tests_only_prune(monkeypatch):
+    # with every partial test accepting, the exact test at the leaves alone
+    # must give the same catalogs: the partial tests, and the rule that
+    # skips them where the next row has one option, only cut the search.
+    # (9, 4) is left out: without partial tests it makes 1,484,856 exact
+    # tests, about 40 s
+    specs = [(generate_all_graphs, (n,)) for n in range(1, 7)]
+    specs += [
+        (generate_regular, (n, k))
+        for n in range(1, 10)
+        for k in range(n)
+        if n * k % 2 == 0 and (n, k) != (9, 4)
+    ]
+    lex_max_prefix = catalog._lex_max_prefix
+    catalog._FULL_CATALOGS.clear()
+    want = [[g.adj for g in generate(*args)] for generate, args in specs]
+
+    def exact_only(rows, v):
+        return True if v < len(rows) - 1 else lex_max_prefix(rows, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "_lex_max_prefix", exact_only)
+        catalog._FULL_CATALOGS.clear()
+        got = [[g.adj for g in generate(*args)] for generate, args in specs]
+    catalog._FULL_CATALOGS.clear()
+    assert got == want
+
+    tests = []
+
+    def counted(rows, v):
+        tests.append(v)
+        return lex_max_prefix(rows, v)
+
+    monkeypatch.setattr(catalog, "_lex_max_prefix", counted)
+    assert len(generate_regular(10, 5)) == 60
+    # 1,360 when every node tested its prefix
+    assert len(tests) == 971
 
 
 def test_regular_builds_one_graph_per_class(monkeypatch):
