@@ -1,19 +1,20 @@
 """Canonical forms, isomorphism tests, and induced pattern search.
 
-canonical_key computes a label-independent key for graphs of order at
-most 12: a backtracking placement search for the lexicographically
-smallest upper-triangle adjacency string over all vertex orderings. As
-in McKay and Piperno's search (Practical graph isomorphism II, 2014),
-the placed prefix is an ordered partition into cells of interchangeable
-vertices, so the orders within a cell are never searched apart. Only
-candidates whose block against the cells is minimal are extended, and a
-subtree is cut once its block prefix exceeds the best string so far. A
-leaf that ties the best string gives an automorphism. The search unwinds
-to where the two paths part when that automorphism maps one branch onto
-the other and fixes the cells there; no automorphism is kept. Of two
-unplaced twins only one is tried, as swapping them is an automorphism.
+canonical_key is the one identity of a graph, at every order up to 64
+vertices. Up to CANON_CAP (12) its bits are the lexicographically
+smallest upper-triangle adjacency string over all vertex orderings,
+found by a backtracking placement search (_lex_min). As in McKay and
+Piperno's search (Practical graph isomorphism II, 2014), the placed
+prefix is an ordered partition into cells of interchangeable vertices,
+so the orders within a cell are never searched apart. Only candidates
+whose block against the cells is minimal are extended, and a subtree is
+cut once its block prefix exceeds the best string so far. A leaf that
+ties the best string gives an automorphism. The search unwinds to where
+the two paths part when that automorphism maps one branch onto the other
+and fixes the cells there; no automorphism is kept. Of two unplaced
+twins only one is tried, as swapping them is an automorphism.
 
-Isomorphism at every order up to 64 vertices is decided by the lex-max
+Above CANON_CAP the key's bits are the triangle bits of the lex-max
 labelling, whose neighbour rows, read in turn with column 0 first and 1
 beating 0, form the largest string. _lex_max_prefix is Read's orderly
 test for it (Every one a winner, 1978), searched over cells with tie
@@ -21,12 +22,10 @@ unwinding as above and pruned by the orbits of the ties it finds; the
 catalog generators run it on partial graphs. _lex_max_rows climbs to a
 graph's lex-max rows: it starts from a greedy labelling and relabels by
 the greedy completion of each prefix the exact test rejects, until the
-test accepts. Above CANON_CAP the exact tests stop after MATCH_BUDGET
-search nodes with MatchBudgetError (a ValueError). ClassIndex keeps the
-first graph of each class by those rows for loaded catalog files, which
-key only the graphs they keep, and are_isomorphic compares them.
-tree_key is a public AHU-style key for trees of any supported order;
-tree enumeration no longer uses it.
+test accepts. The exact tests of one key stop after MATCH_BUDGET search
+nodes with MatchBudgetError (a ValueError). are_isomorphic compares
+degree sequences, then keys. tree_key is a public AHU-style key for
+trees of any supported order; tree enumeration no longer uses it.
 
 iter_induced_copies is the one enumerator of induced copies of a
 pattern of order at most PATTERN_CAP, and builds no graph per vertex
@@ -47,11 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph6 import encode_bits, from_triangle_bits, triangle_bits
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _trusted, iter_bits
 
 CANON_CAP = 12
 PATTERN_CAP = 8
-MATCH_BUDGET = 1 << 16  # exact-test search nodes per identity above CANON_CAP
+MATCH_BUDGET = 1 << 16  # exact-test search nodes per key above CANON_CAP
 
 
 @dataclass(frozen=True, order=True)
@@ -59,8 +58,9 @@ class IsoKey:
     """Canonical identity of a graph: order plus packed adjacency bits.
 
     bits holds the canonical adjacency matrix in the graph6 triangle
-    layout (see graph6.triangle_bits). Equal keys mean isomorphic graphs
-    and vice versa (within the supported order cap).
+    layout (see graph6.triangle_bits): the lex-min labelling's up to
+    CANON_CAP, the lex-max labelling's above it. Equal keys mean
+    isomorphic graphs and vice versa, at every order.
     """
 
     n: int
@@ -189,15 +189,8 @@ def _lex_min(g: Graph) -> int:
     return bits
 
 
-def canonical_key(g: Graph) -> IsoKey:
-    """Canonical key for g; supported for orders up to 12."""
-    if g.n > CANON_CAP:
-        raise ValueError(f"canonical_key supports orders up to {CANON_CAP}, got {g.n}")
-    return IsoKey(g.n, _lex_min(g))
-
-
 class MatchBudgetError(ValueError):
-    """A graph above CANON_CAP spent MATCH_BUDGET exact-test nodes on its identity."""
+    """A graph above CANON_CAP spent MATCH_BUDGET exact-test nodes on its canonical key."""
 
 
 def _lex_max_prefix(rows: list[int], v: int, budget: list[int] | None = None) -> bool | list[int]:
@@ -321,10 +314,10 @@ def _lex_max_rows(g: Graph) -> tuple[int, ...]:
     start; while the exact test rejects, the greedy completion of its
     rejecting prefix ties the rows before the prefix's last position and
     beats the row there, so each step strictly raises the row string, and
-    the loop ends only once the exact test certifies the labelling. Above
-    CANON_CAP the exact tests share MATCH_BUDGET search nodes.
+    the loop ends only once the exact test certifies the labelling. The
+    exact tests share MATCH_BUDGET search nodes.
     """
-    budget = [MATCH_BUDGET] if g.n > CANON_CAP else None
+    budget = [MATCH_BUDGET]
     prefix: list[int] | bool = []
     while prefix is not True:
         g = g.relabel(_greedy_order(g.adj, prefix))
@@ -332,27 +325,21 @@ def _lex_max_rows(g: Graph) -> tuple[int, ...]:
     return g.adj
 
 
-class ClassIndex:
-    """One graph per isomorphism class: the first graph added to it.
+def canonical_key(g: Graph) -> IsoKey:
+    """Canonical key for g at every order.
 
-    Classes are told apart by their lex-max rows (_lex_max_rows).
+    Up to CANON_CAP the bits are the lex-min adjacency (_lex_min); above
+    it they are the triangle bits of the lex-max labelling (_lex_max_rows),
+    which may raise MatchBudgetError.
     """
-
-    def __init__(self):
-        self.graphs: list[Graph] = []
-        self._positions: dict[tuple[int, ...], int] = {}
-
-    def add(self, g: Graph) -> int:
-        """Position of g's class in self.graphs; g is appended to start a new class."""
-        pos = self._positions.setdefault(_lex_max_rows(g), len(self.graphs))
-        if pos == len(self.graphs):
-            self.graphs.append(g)
-        return pos
+    if g.n <= CANON_CAP:
+        return IsoKey(g.n, _lex_min(g))
+    return IsoKey(g.n, triangle_bits(_trusted(g.n, _lex_max_rows(g))))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test at every order: equal degree sequences, then lex-max rows."""
-    return g.degree_sequence() == h.degree_sequence() and _lex_max_rows(g) == _lex_max_rows(h)
+    """Exact isomorphism test at every order: equal degree sequences, then canonical keys."""
+    return g.degree_sequence() == h.degree_sequence() and canonical_key(g) == canonical_key(h)
 
 
 def induced_copies(g: Graph, pattern: Graph) -> list[int]:

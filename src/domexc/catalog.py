@@ -12,8 +12,7 @@ options; with one, the test below or at the leaf rejects all it would.
 Each class is kept in its lex-max labelling. Each full
 catalog is built once per process, per n for all graphs and per (n, k)
 for regular ones; a connected catalog is the connected subsequence of
-the full one. A loaded file is deduplicated through a canon.ClassIndex,
-by the same test, keeping each class's first line.
+the full one. A loaded file keeps the first line of each canonical key.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from pathlib import Path
 
-from .canon import CANON_CAP, ClassIndex, IsoKey, _lex_max_prefix, canonical_key
+from .canon import IsoKey, _lex_max_prefix, canonical_key
 from .domination import PARAM_IDS, Param, ParameterUndefinedError, ParamResult, min_sets
 from .excellence import FamilyResult, excellent_family, is_excellent, is_pattern_excellent
-from .graph6 import parse_lines, to_graph6, triangle_bits
+from .graph6 import parse_lines, to_graph6
 from .graphs import Graph, _trusted, iter_bits
 
 ALL_GRAPHS_CAP = 7
@@ -55,13 +54,8 @@ class Catalog:
         return iter(self.graphs)
 
 
-def _sorted_catalog(source: str, graphs, warnings=()) -> Catalog:
-    """Catalog of isomorph-free graphs in key order; each graph is keyed once.
-
-    The key is canonical_key up to order CANON_CAP. Above it the key is
-    IsoKey(n, triangle_bits(g)) of the labelled adjacency, which only sorts.
-    """
-    keys = [canonical_key(g) if g.n <= CANON_CAP else IsoKey(g.n, triangle_bits(g)) for g in graphs]
+def _sorted_catalog(source: str, graphs, keys, warnings=()) -> Catalog:
+    """Catalog of isomorph-free graphs and their canonical keys, in key order."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return Catalog(
         source, tuple(graphs[i] for i in order), tuple(keys[i] for i in order), tuple(warnings)
@@ -142,7 +136,9 @@ def _generated(spec: str, n: int, row_options, connected_only: bool) -> Catalog:
     full = _FULL_CATALOGS.get(spec)
     if full is None:
         graphs = _orderly(n, row_options)
-        full = _FULL_CATALOGS[spec] = _sorted_catalog(f"generated:{spec}:connected=false", graphs)
+        full = _FULL_CATALOGS[spec] = _sorted_catalog(
+            f"generated:{spec}:connected=false", graphs, [canonical_key(g) for g in graphs]
+        )
     if not connected_only:
         return full
     kept = [i for i, g in enumerate(full.graphs) if g.is_connected()]
@@ -210,26 +206,24 @@ def save_catalog(cat: Catalog, path) -> None:
 def load_catalog(path) -> Catalog:
     """Read a graph6 catalog file; duplicates are kept out but reported.
 
-    At every order a duplicate is a graph isomorphic to an earlier line,
-    found through a ClassIndex; the first line of each class is kept.
-    Above order CANON_CAP the catalog key of a kept graph is its labelled
-    IsoKey(n, triangle_bits(g)), which only sorts the lines. The file is
-    decoded as latin-1, so a byte outside graph6's range is reported as a
-    Graph6Error naming its line, the first bad line stopping the load.
+    Each line is keyed once by canonical_key, at every order; a line whose
+    key an earlier line has is a duplicate, and the first line of each key
+    is kept. The file is decoded as latin-1, so a byte outside graph6's
+    range is reported as a Graph6Error naming its line, the first bad line
+    stopping the load.
     """
     p = Path(path)
-    index = ClassIndex()
-    first_line: list[int] = []
+    first: dict[IsoKey, tuple[int, Graph]] = {}  # key -> its first line and graph
     warnings = []
     for lineno, item in parse_lines(p.read_text(encoding="latin-1")):
         if isinstance(item, Exception):
             raise type(item)(f"line {lineno}: {item}")
-        pos = index.add(item)
-        if pos < len(first_line):
-            warnings.append(f"line {lineno} duplicates line {first_line[pos]} up to isomorphism")
+        key = canonical_key(item)
+        if key in first:
+            warnings.append(f"line {lineno} duplicates line {first[key][0]} up to isomorphism")
         else:
-            first_line.append(lineno)
-    return _sorted_catalog(f"file:{p}", index.graphs, warnings)
+            first[key] = lineno, item
+    return _sorted_catalog(f"file:{p}", [g for _, g in first.values()], list(first), warnings)
 
 
 @dataclass(frozen=True)

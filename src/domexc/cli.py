@@ -37,7 +37,7 @@ from .trees import enumerate_trees
 
 
 def _canonical_graph6(g: Graph) -> str | None:
-    # identity is the canonical representative when keying is exact
+    # none above CANON_CAP, where a key may end in MatchBudgetError
     if g.n > CANON_CAP:
         return None
     return canonical_key(g).graph6()

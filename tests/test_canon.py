@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import domexc.canon
 from domexc.canon import (
     CANON_CAP,
-    ClassIndex,
     IsoKey,
     MatchBudgetError,
+    _lex_max_prefix,
+    _lex_max_rows,
     are_isomorphic,
     canonical_key,
     induced_copies,
@@ -226,23 +227,27 @@ def test_are_isomorphic_beyond_canonical_cap():
     assert are_isomorphic(big, shuffled(big, 64))
 
 
+def to_nx(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def swapped(g):
+    # a degree-preserving double-edge swap, if one applies
+    for (a, b), (c, d) in combinations(g.edges(), 2):
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(b, c):
+            rest = [e for e in g.edges() if e not in ((a, b), (c, d))]
+            return from_edges(g.n, rest + [(a, d), (b, c)])
+    return g
+
+
 def test_are_isomorphic_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
-
-    def to_nx(g):
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges())
-        return h
-
-    def swapped(g):
-        # a degree-preserving double-edge swap, if one applies
-        for (a, b), (c, d) in combinations(g.edges(), 2):
-            if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(b, c):
-                rest = [e for e in g.edges() if e not in ((a, b), (c, d))]
-                return from_edges(g.n, rest + [(a, d), (b, c)])
-        return g
 
     def networkx_answer(g, h):
         # complements share their isomorphisms, and VF2 is quicker on the sparser
@@ -283,28 +288,80 @@ def test_are_isomorphic_matches_canonical_keys_small_orders():
 
 
 def test_cycle_unions_share_a_bucket():
-    # 2-regular, no triangles, two vertices at distance 2: three classes
-    parts = [[12], [6, 6], [5, 7]]
-    graphs = [disjoint_union([cycle(k) for k in p]) for p in parts]
-    index = ClassIndex()
-    for i, g in enumerate(graphs + [shuffled(g, 9) for g in graphs]):
-        assert index.add(g) == i % len(graphs)
-    assert index.graphs == graphs
+    # 2-regular, no triangles, two vertices at distance 2: three classes,
+    # at the cap and above it
+    for parts in ([[12], [6, 6], [5, 7]], [[14], [7, 7], [5, 9]]):
+        graphs = [disjoint_union([cycle(k) for k in p]) for p in parts]
+        keys = [canonical_key(g) for g in graphs]
+        assert len(set(keys)) == len(graphs)
+        assert [canonical_key(shuffled(g, 9)) for g in graphs] == keys
 
 
 def test_match_budget(monkeypatch):
-    # up to CANON_CAP the identity has no budget; above it, a spent budget is a typed error
+    # up to CANON_CAP a key has no budget; above it, a spent budget is a typed error
     monkeypatch.setattr(domexc.canon, "MATCH_BUDGET", 2)
     assert are_isomorphic(cycle(12), shuffled(cycle(12), 1))
     assert not are_isomorphic(cycle(12), disjoint_union([cycle(5), cycle(7)]))
     with pytest.raises(MatchBudgetError, match="exceeded 2 search nodes"):
         are_isomorphic(shrikhande(), cartesian_product(complete(4), complete(4)))
+    with pytest.raises(MatchBudgetError, match="exceeded 2 search nodes"):
+        canonical_key(cycle(CANON_CAP + 1))
     assert issubclass(MatchBudgetError, ValueError)
 
 
-def test_cap_enforced():
-    with pytest.raises(ValueError):
-        canonical_key(edgeless(CANON_CAP + 1))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hypercube(6).complement(),
+        lambda: kneser(8, 3),
+        lambda: paley(29),
+        lambda: cartesian_product(cycle(8), cycle(8)),
+        lambda: path(64),
+    ],
+    ids=["co-Q6", "K(8,3)", "Paley(29)", "C8xC8", "P64"],
+)
+def test_canonical_key_above_cap_relabel_invariant(build):
+    # above CANON_CAP the key is the triangle bits of the lex-max labelling
+    g = build()
+    key = canonical_key(g)
+    assert key.graph().adj == _lex_max_rows(g)
+    assert canonical_key(key.graph()) == key
+    for seed in range(3):
+        assert canonical_key(shuffled(g, seed)) == key
+
+
+# labellings that are lex-max among those with vertex 0 first, of a
+# 5-regular graph of order 20 and an 8-regular graph of order 21, each less
+# one edge (from a seeded search over circulants and Cayley graphs of
+# Z_a x Z_b). A relabelling with another first vertex beats each, and ties
+# kept below vertex 0 that move that first vertex map the branch it needs
+# onto one already searched there
+LEX_MAX_TRAPS = ["SsaBA`GP@_DIGODhAOOWPAE_C_GEOG@cc", "T}iS[A@WqpHGPhPUEg``cJHSaj_uIgdx?LYo"]
+
+
+def test_exact_test_prunes_only_by_ties_fixing_the_prefix():
+    # pruning by every kept tie accepts both labellings
+    for g6 in LEX_MAX_TRAPS:
+        g = from_graph6(g6)
+        assert _lex_max_prefix(list(g.adj), g.n - 1) is not True
+        assert _lex_max_rows(g) != g.adj
+        assert canonical_key(g) == canonical_key(shuffled(g, 1))
+
+
+def test_canonical_key_above_cap_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(28)
+    pairs = [(cycle(14), disjoint_union([cycle(7), cycle(7)]))]
+    for _ in range(60):
+        n = rng.randint(CANON_CAP + 1, 24)
+        g = random_graph(n, rng.getrandbits(n * (n - 1) // 2))
+        pairs.append((g, shuffled(swapped(g) if rng.random() < 0.5 else g, rng.random())))
+    answers = set()
+    for g, h in pairs:
+        want = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (canonical_key(g) == canonical_key(h)) == want
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_iso_key_graph6():

@@ -8,10 +8,9 @@ from collections import Counter
 
 import pytest
 
+import domexc.canon
 from domexc import catalog, excellence
 from domexc.canon import (
-    ClassIndex,
-    IsoKey,
     _greedy_order,
     _lex_max_rows,
     are_isomorphic,
@@ -30,7 +29,7 @@ from domexc.catalog import (
 )
 from domexc.domination import Param, ParameterUndefinedError, min_sets
 from domexc.excellence import is_excellent, is_pattern_excellent
-from domexc.graph6 import to_graph6, triangle_bits
+from domexc.graph6 import to_graph6
 from domexc.graphs import Graph, complete, cycle, disjoint_union, path
 
 from helpers import hypercube, kneser, random_graph, shuffled
@@ -274,27 +273,25 @@ def test_lex_max_rows_oracle():
 
 
 def test_partial_prefix_tests_only_prune(monkeypatch):
-    # with every partial test accepting, the exact test at the leaves alone
-    # must give the same catalogs: the partial tests, and the rule that
-    # skips them where the next row has one option, only cut the search.
-    # (9, 4) is left out: without partial tests it makes 1,484,856 exact
-    # tests, about 40 s
+    # with a seeded random quarter of the partial tests accepting, the
+    # catalogs must not change: the partial tests, and the rule that skips
+    # them where the next row has one option, only cut the search. (With
+    # every partial test accepting, (9, 4) alone makes 1,484,856 exact
+    # tests, about 40 s; with half of them, about 4 s.)
     specs = [(generate_all_graphs, (n,)) for n in range(1, 7)]
-    specs += [
-        (generate_regular, (n, k))
-        for n in range(1, 10)
-        for k in range(n)
-        if n * k % 2 == 0 and (n, k) != (9, 4)
-    ]
+    specs += [(generate_regular, (n, k)) for n in range(1, 10) for k in range(n) if n * k % 2 == 0]
     lex_max_prefix = catalog._lex_max_prefix
     catalog._FULL_CATALOGS.clear()
     want = [[g.adj for g in generate(*args)] for generate, args in specs]
+    rng = random.Random(28)
 
-    def exact_only(rows, v):
-        return True if v < len(rows) - 1 else lex_max_prefix(rows, v)
+    def some_skipped(rows, v):
+        if v < len(rows) - 1 and rng.random() < 0.25:
+            return True
+        return lex_max_prefix(rows, v)
 
     with monkeypatch.context() as m:
-        m.setattr(catalog, "_lex_max_prefix", exact_only)
+        m.setattr(catalog, "_lex_max_prefix", some_skipped)
         catalog._FULL_CATALOGS.clear()
         got = [[g.adj for g in generate(*args)] for generate, args in specs]
     catalog._FULL_CATALOGS.clear()
@@ -314,20 +311,21 @@ def test_partial_prefix_tests_only_prune(monkeypatch):
 
 def test_regular_builds_one_graph_per_class(monkeypatch):
     # the orderly test prunes every labelled graph but one per class before
-    # it is built (the search without it completes 2,883 here), so
-    # neither generator reaches ClassIndex.add; each leaf, built unchecked
-    # by the generator, passes the public check here
+    # it is built (the search without it completes 2,883 here), and each
+    # is keyed by its lex-min bits, so neither generator reaches the
+    # lex-max climb; each leaf, built unchecked by the generator, passes
+    # the public check here
     built = []
 
     def counted(*args):
         built.append(Graph(*args))
         return built[-1]
 
-    def refused(self, g):
-        raise AssertionError("a generator reached ClassIndex.add")
+    def refused(g):
+        raise AssertionError("a generator reached _lex_max_rows")
 
     monkeypatch.setattr(catalog, "_trusted", counted)
-    monkeypatch.setattr(ClassIndex, "add", refused)
+    monkeypatch.setattr(domexc.canon, "_lex_max_rows", refused)
     catalog._FULL_CATALOGS.clear()
     cat = generate_regular(10, 5)
     assert len(cat) == 60
@@ -395,6 +393,11 @@ def test_catalog_validation():
         Catalog("x", (g, g), (key, key))
     with pytest.raises(ValueError):
         Catalog("x", (g,), (key, key))
+    # above order 12 too, a relabelled pair is one class
+    a = path(13)
+    b = shuffled(a, 1)
+    with pytest.raises(ValueError, match="isomorphic duplicates"):
+        Catalog("x", (a, b), (canonical_key(a), canonical_key(b)))
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -468,7 +471,9 @@ def test_load_relabelled_pair_beyond_canonical_cap(tmp_path):
     cat = load_catalog(f)
     assert len(cat) == 2 and a in cat.graphs and c in cat.graphs
     assert cat.warnings == ("line 3 duplicates line 1 up to isomorphism",)
-    assert list(cat.keys) == sorted(IsoKey(13, triangle_bits(g)) for g in (a, c))
+    assert canonical_key(b) == canonical_key(a) != canonical_key(c)
+    assert list(cat.keys) == sorted(canonical_key(g) for g in (a, c))
+    assert [canonical_key(g) for g in cat.graphs] == list(cat.keys)
 
 
 @pytest.mark.parametrize(
@@ -509,8 +514,9 @@ def mixed_catalog_lines() -> list[str]:
 
 
 def test_load_catalog_bytes_pinned(tmp_path):
-    # sha256 of the kept lines in catalog order, then the warnings, recorded
-    # while a colour-refinement matcher decided the duplicates
+    # sha256 of the kept lines in catalog order, then the warnings. The kept
+    # lines and warnings were recorded while a colour-refinement matcher
+    # decided the duplicates; the order is canonical_key's at every order
     f = tmp_path / "mixed.g6"
     f.write_text("".join(mixed_catalog_lines()))
     cat = load_catalog(f)
@@ -518,7 +524,7 @@ def test_load_catalog_bytes_pinned(tmp_path):
     text = "".join(to_graph6(g) + "\n" for g in cat.graphs)
     text += "".join(w + "\n" for w in cat.warnings)
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "c74214083455240f0e9522e3a8bd9f47043fac3d58627100a548ea4971e12abe"
+    assert digest == "ee9ca1d068e2135dd603a80e99c8e5cbd387a9ac8257d8a0439e49288edbb212"
 
 
 def test_search_param_filter():

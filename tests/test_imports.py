@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private definition is referenced somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+module-level private definition is referenced somewhere in the package,
+and only canon decides how graphs are identified."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,37 @@ def test_no_unreferenced_private_definitions():
     # a helper left behind by a deletion is referenced nowhere in the package
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_privates(sources) == []
+
+
+# the names through which a module could decide graph identity, and the
+# only modules that may reference them: cli reads the cap to report no
+# canonical graph6 above it
+IDENTITY_NAMES = {
+    "_lex_min": {"canon.py"},
+    "_lex_max_rows": {"canon.py"},
+    "CANON_CAP": {"canon.py", "cli.py"},
+}
+
+
+def referencing_modules(sources: dict[str, str]) -> dict[str, set[str]]:
+    """For each of IDENTITY_NAMES, the modules that reference it."""
+    used = {module: referenced_names(ast.parse(source)) for module, source in sources.items()}
+    return {name: {m for m, names in used.items() if name in names} for name in IDENTITY_NAMES}
+
+
+def test_referencing_modules_detected():
+    sources = {
+        "a.py": "from .canon import CANON_CAP\n",
+        "b.py": "from . import canon\nkey = canon._lex_min\n",
+        "c.py": "def _lex_min():\n    pass\n",
+    }
+    assert referencing_modules(sources) == {
+        "_lex_min": {"b.py"},
+        "_lex_max_rows": set(),
+        "CANON_CAP": {"a.py"},
+    }
+
+
+def test_identity_decided_in_canon_only():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert referencing_modules(sources) == IDENTITY_NAMES
