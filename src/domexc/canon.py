@@ -38,7 +38,7 @@ IsoKey; the pattern's own key is looked up there too. Each call makes a
 fresh dict unless the caller passes one, and the caller's dict lives no
 longer than the caller's own work: excellence.excellent_family shares
 one across the copy passes of a single family, filled from its candidate
-closure. So catalog._FULL_CATALOGS stays the package's only cache.
+closure. So catalog._GENERATED stays the package's only cache.
 """
 
 from __future__ import annotations

@@ -9,10 +9,18 @@ left), and a row-by-row lex-max test (canon._lex_max_prefix) prunes
 every labelled graph but one per class before it is built, so no index
 is needed. The test of rows 0..v-1 runs only where row v has two or more
 options; with one, the test below or at the leaf rejects all it would.
-Each class is kept in its lex-max labelling. Each full
-catalog is built once per process, per n for all graphs and per (n, k)
-for regular ones; a connected catalog is the connected subsequence of
-the full one. A loaded file keeps the first line of each canonical key.
+Each class is kept in its lex-max labelling.
+
+Generation and presentation are apart. all_graph_classes and
+regular_classes return the classes in generation order, unkeyed: the
+search already proved each one the only lex-max labelling of its class,
+so a caller that needs no order (a count, a property of every class)
+keys nothing. generate_all_graphs and generate_regular key those classes
+with canonical_key and sort them into a Catalog. Both the classes and
+the full catalog are built at most once per process, per n for all
+graphs and per (n, k) for regular ones; a connected list is the
+connected subsequence of the full one, so a connected catalog is already
+in key order. A loaded file keeps the first line of each canonical key.
 """
 
 from __future__ import annotations
@@ -128,17 +136,26 @@ def _orderly(n: int, row_options) -> list[Graph]:
     return graphs
 
 
-_FULL_CATALOGS: dict[str, Catalog] = {}
+# spec -> [its classes in generation order, its full Catalog once one is asked for]
+_GENERATED: dict[str, list] = {}
 
 
-def _generated(spec: str, n: int, row_options, connected_only: bool) -> Catalog:
-    """The full catalog spec names, built once per process, or its connected subsequence."""
-    full = _FULL_CATALOGS.get(spec)
-    if full is None:
-        graphs = _orderly(n, row_options)
-        full = _FULL_CATALOGS[spec] = _sorted_catalog(
-            f"generated:{spec}:connected=false", graphs, [canonical_key(g) for g in graphs]
+def _classes(spec: str, n: int, row_options, connected_only: bool) -> tuple[Graph, ...]:
+    """The classes spec names, generated once per process, or their connected subsequence."""
+    if spec not in _GENERATED:
+        _GENERATED[spec] = [tuple(_orderly(n, row_options)), None]
+    classes = _GENERATED[spec][0]
+    return tuple(g for g in classes if g.is_connected()) if connected_only else classes
+
+
+def _catalog(spec: str, classes: tuple[Graph, ...], connected_only: bool) -> Catalog:
+    """The classes of spec keyed and sorted, once per process, or its connected subsequence."""
+    entry = _GENERATED[spec]
+    if entry[1] is None:
+        entry[1] = _sorted_catalog(
+            f"generated:{spec}:connected=false", classes, [canonical_key(g) for g in classes]
         )
+    full = entry[1]
     if not connected_only:
         return full
     kept = [i for i, g in enumerate(full.graphs) if g.is_connected()]
@@ -146,21 +163,21 @@ def _generated(spec: str, n: int, row_options, connected_only: bool) -> Catalog:
     return Catalog(f"generated:{spec}:connected=true", graphs, tuple(full.keys[i] for i in kept))
 
 
-def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
-    """Every graph of order n up to isomorphism, each in its lex-max labelling.
+def all_graph_classes(n: int, connected_only: bool = False) -> tuple[Graph, ...]:
+    """Every graph of order n up to isomorphism, in generation order, unkeyed.
 
     The orderly search of _orderly with every subset of the later vertices
     as a row: the multiples of 1 << v + 1 below 1 << n. Capped at order 7.
-    The full catalog is built once per order; the connected one is its
-    connected subsequence, already in key order.
+    Each class is in its lex-max labelling. The classes are generated once
+    per order; the connected ones are their connected subsequence.
     """
     if not 1 <= n <= ALL_GRAPHS_CAP:
         raise ValueError(f"order must be between 1 and {ALL_GRAPHS_CAP}")
-    return _generated(f"all:n={n}", n, lambda rows, v: range(0, 1 << n, 1 << v + 1), connected_only)
+    return _classes(f"all:n={n}", n, lambda rows, v: range(0, 1 << n, 1 << v + 1), connected_only)
 
 
-def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
-    """Every k-regular graph of order n up to isomorphism.
+def regular_classes(n: int, k: int, connected_only: bool = False) -> tuple[Graph, ...]:
+    """Every k-regular graph of order n up to isomorphism, in generation order, unkeyed.
 
     An orderly generator (Meringer, Fast generation of regular graphs and
     construction of cages, 1999), run by _orderly. Row v is a plain
@@ -168,10 +185,9 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
     decreasing lex order; the prefix test also rejects a row which only
     swaps interchangeable later columns of a larger one. Each class is
     kept in its lex-max labelling, the first of its class the search would
-    complete, and the catalog keys only those. An Erdos-Gallai check drops
-    rows whose residual degrees have no realization. The full catalog is
-    built once per (n, k); the connected one is its connected subsequence,
-    already in key order.
+    complete. An Erdos-Gallai check drops rows whose residual degrees have
+    no realization. The classes are generated once per (n, k); the
+    connected ones are their connected subsequence.
     """
     if not 0 <= k < n <= REGULAR_CAP:
         raise ValueError(f"need 0 <= degree < order <= {REGULAR_CAP}")
@@ -188,7 +204,27 @@ def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
             if _residual_realizable(left):
                 yield sum(1 << w for w in chosen)
 
-    return _generated(f"regular:n={n}:k={k}", n, degree_bounded, connected_only)
+    return _classes(f"regular:n={n}:k={k}", n, degree_bounded, connected_only)
+
+
+def generate_all_graphs(n: int, connected_only: bool = False) -> Catalog:
+    """The classes of all_graph_classes(n) as a Catalog in key order.
+
+    Only the kept class of each isomorphism class is keyed, once per
+    process per order; the connected catalog is the connected subsequence
+    of the full one, already in key order.
+    """
+    return _catalog(f"all:n={n}", all_graph_classes(n), connected_only)
+
+
+def generate_regular(n: int, k: int, connected_only: bool = False) -> Catalog:
+    """The classes of regular_classes(n, k) as a Catalog in key order.
+
+    Only the kept class of each isomorphism class is keyed, once per
+    process per (n, k); the connected catalog is the connected subsequence
+    of the full one, already in key order.
+    """
+    return _catalog(f"regular:n={n}:k={k}", regular_classes(n, k), connected_only)
 
 
 def save_catalog(cat: Catalog, path) -> None:

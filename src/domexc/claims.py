@@ -13,6 +13,14 @@ read by one evaluator. A property checked over many graphs is a generator
 yielding one line per failing case; _failures reports it as expected [],
 computed those lines in order, ok when there are none. A value check
 returns the triple itself.
+
+Claims over catalogs iterate the generated classes (catalog.all_graph_classes
+and catalog.regular_classes), which come in generation order and carry
+no keys, and key only the graphs they report: _in_key_order sorts the
+failing classes of one catalog by canonical_key, which is the order the
+keyed Catalog lists them in, and the K3 hits of the regular claims are
+keyed only where a report names or compares them. Counts and values need
+no key at all.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from math import ceil
 from typing import Callable
 
 from .canon import canonical_key
-from .catalog import CatalogQuery, generate_all_graphs, generate_regular, search
+from .catalog import all_graph_classes, regular_classes
 from .domination import (
     Param,
     bound_checks,
@@ -238,42 +246,58 @@ def _edgeless_names(m: int) -> list[str]:
     return ["K1"] + [f"E{r}" for r in range(2, m + 1)]
 
 
+def _in_key_order(classes, failures: Callable):
+    """The lines failures(g) yields for the classes of one catalog, in its key order.
+
+    Only a class with a line is keyed; sorting those by canonical_key
+    lists them as the keyed Catalog would.
+    """
+    failing = [(g, lines) for g in classes if (lines := list(failures(g)))]
+    failing.sort(key=lambda item: canonical_key(item[0]))
+    for _, lines in failing:
+        yield from lines
+
+
+def _edge_critical_misses(g: Graph):
+    if g.edge_count() == g.n * (g.n - 1) // 2 or not is_edge_addition_critical(g):
+        return
+    res = min_sets(g, Param.GAMMA)
+    for pat in (edgeless(1), edgeless(2)):
+        if not is_pattern_excellent(g, pat, Param.GAMMA, result=res):
+            yield f"{to_graph6(g)} misses E{pat.n}"
+
+
 def _check_edge_critical_pairs():
     for n in range(2, 7):
-        for g in generate_all_graphs(n):
-            if g.edge_count() == n * (n - 1) // 2:
-                continue
-            if not is_edge_addition_critical(g):
-                continue
-            res = min_sets(g, Param.GAMMA)
-            for pat in (edgeless(1), edgeless(2)):
-                if not is_pattern_excellent(g, pat, Param.GAMMA, result=res):
-                    yield f"{to_graph6(g)} misses E{pat.n}"
+        yield from _in_key_order(all_graph_classes(n), _edge_critical_misses)
+
+
+def _edgeless_run_misses(g: Graph):
+    s = param_value(g, Param.INDEPENDENCE)
+    if param_value(g, Param.GAMMA) != s:
+        return
+    want = _edgeless_names(s)
+    gam = _names(g, Param.GAMMA)
+    if [m for m in gam if m in want] != want:
+        yield f"n={g.n} gamma family misses an edgeless member"
+    if _names(g, Param.IND_DOM) != want or _names(g, Param.INDEPENDENCE) != want:
+        yield f"n={g.n} independence families differ from edgeless run"
 
 
 def _check_independence_equals_domination():
     for n in range(1, 7):
-        for g in generate_all_graphs(n):
-            s = param_value(g, Param.INDEPENDENCE)
-            if param_value(g, Param.GAMMA) != s:
-                continue
-            want = _edgeless_names(s)
-            gam = _names(g, Param.GAMMA)
-            if [m for m in gam if m in want] != want:
-                yield f"n={n} gamma family misses an edgeless member"
-            if _names(g, Param.IND_DOM) != want or _names(g, Param.INDEPENDENCE) != want:
-                yield f"n={n} independence families differ from edgeless run"
+        yield from _in_key_order(all_graph_classes(n), _edgeless_run_misses)
+
+
+def _path3_at_three(g: Graph):
+    res = min_sets(g, Param.GAMMA)
+    if res.value == 3 and is_pattern_excellent(g, path(3), Param.GAMMA, result=res):
+        yield to_graph6(g)
 
 
 def _check_no_path3_at_three():
-    p3 = path(3)
     for n in range(1, 8):
-        for g in generate_all_graphs(n):
-            res = min_sets(g, Param.GAMMA)
-            if res.value != 3:
-                continue
-            if is_pattern_excellent(g, p3, Param.GAMMA, result=res):
-                yield to_graph6(g)
+        yield from _in_key_order(all_graph_classes(n), _path3_at_three)
 
 
 PRODUCT_PAIRS = [
@@ -353,55 +377,63 @@ def _check_lex_complete_fibers():
                 yield f"{label} s={s}: product {lhs} vs base {rhs}"
 
 
+def _bound_failures(g: Graph):
+    for chk in bound_checks(g):
+        if chk.applicable and not chk.holds:
+            yield f"{to_graph6(g)}: {chk.name}"
+
+
 def _check_degree_ratio_bound():
-    pools = [list(generate_regular(n, k)) for n, k in ((10, 5), (9, 4), (8, 3))]
-    pools.append([g for g in generate_all_graphs(7) if g.min_degree() >= 3])
+    pools = [regular_classes(n, k) for n, k in ((10, 5), (9, 4), (8, 3))]
+    pools.append([g for g in all_graph_classes(7) if g.min_degree() >= 3])
     for pool in pools:
-        for g in pool:
-            for chk in bound_checks(g):
-                if chk.applicable and not chk.holds:
-                    yield f"{to_graph6(g)}: {chk.name}"
+        yield from _in_key_order(pool, _bound_failures)
 
 
 def _check_five_regular_order_ten():
-    cat = generate_regular(10, 5)
-    values = sorted({param_value(g, Param.GAMMA) for g in cat})
+    classes = regular_classes(10, 5)
+    values = sorted({param_value(g, Param.GAMMA) for g in classes})
     expected = {"count": 60, "gamma_values": [2]}
-    computed = {"count": len(cat), "gamma_values": values}
+    computed = {"count": len(classes), "gamma_values": values}
     return expected, computed, expected == computed
 
 
 def _check_four_regular_nine_count():
     expected = {"count": 16}
-    computed = {"count": len(generate_regular(9, 4))}
+    computed = {"count": len(regular_classes(9, 4))}
     return expected, computed, expected == computed
 
 
-def _pattern_hits(cat, pattern: Graph):
-    return search(cat, CatalogQuery(pattern=pattern, pattern_param="gamma"))
+def _k3_hits(classes) -> list[tuple[Graph, int]]:
+    """(graph, gamma) of each class that is K3-excellent under gamma, unkeyed."""
+    hits, k3 = [], complete(3)
+    for g in classes:
+        res = min_sets(g, Param.GAMMA)
+        if is_pattern_excellent(g, k3, Param.GAMMA, result=res):
+            hits.append((g, res.value))
+    return hits
 
 
 def _check_four_regular_nine_survey():
-    hits = _pattern_hits(generate_regular(9, 4), complete(3))
+    hits = sorted((g for g, _ in _k3_hits(regular_classes(9, 4))), key=canonical_key)
     expected = {"count": 2}
-    computed = {"count": len(hits), "graph6": [to_graph6(h.graph) for h in hits]}
+    computed = {"count": len(hits), "graph6": [to_graph6(g) for g in hits]}
     return expected, computed, computed["count"] == expected["count"]
 
 
 def _check_four_regular_nine_product():
-    hits = _pattern_hits(generate_regular(9, 4), complete(3))
     kk = canonical_key(cartesian_product(complete(3), complete(3)))
     expected = {"product_matches": 1}
-    computed = {"product_matches": sum(1 for h in hits if h.key == kk)}
+    hits = _k3_hits(regular_classes(9, 4))
+    computed = {"product_matches": sum(1 for g, _ in hits if canonical_key(g) == kk)}
     return expected, computed, expected == computed
 
 
 def _check_regular_order_bound():
+    # a line names only (n, k), so the hits need no key and no order
     for n, k in [(9, 4), (8, 3), (10, 4)]:
-        for h in _pattern_hits(generate_regular(n, k), complete(3)):
-            if not h.graph.is_connected() or h.values.get("gamma") != 3:
-                continue
-            if h.graph.n > 3 * (k - 1):
+        for g, gamma in _k3_hits(regular_classes(n, k)):
+            if g.is_connected() and gamma == 3 and n > 3 * (k - 1):
                 yield f"({n},{k}): triangle-excellent hit above the order bound"
 
 
@@ -505,13 +537,13 @@ def _check_bridge_pairs():
 
 
 def _check_five_regular_twelve_search():
-    cat = generate_regular(12, 5, connected_only=True)
-    hits = _pattern_hits(cat, complete(3))
+    classes = regular_classes(12, 5, connected_only=True)
+    hits = _k3_hits(classes)
     expected = {"min_matches": 1}
     computed = {
-        "catalog": len(cat),
-        "matches": sorted(h.key.graph6() for h in hits),
-        "gamma_values": sorted({h.values.get("gamma") for h in hits}),
+        "catalog": len(classes),
+        "matches": sorted(canonical_key(g).graph6() for g, _ in hits),
+        "gamma_values": sorted({gamma for _, gamma in hits}),
     }
     return expected, computed, len(hits) >= 1
 

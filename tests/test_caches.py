@@ -1,4 +1,4 @@
-"""The package keeps one cache, catalog._FULL_CATALOGS: no module caches a
+"""The package keeps one cache, catalog._GENERATED: no module caches a
 function's results or binds an empty container to fill for the life of the
 process. Working dicts, such as the shape dict of one excellent family,
 live inside a call."""
@@ -10,7 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "domexc"
 MODULES = sorted(SRC.glob("*.py"))
-ALLOWED = {("catalog.py", "_FULL_CATALOGS")}
+ALLOWED = {("catalog.py", "_GENERATED")}
 CACHE_DECORATORS = {"cache", "lru_cache"}
 
 
@@ -67,7 +67,7 @@ def test_caches_detected():
         "from functools import lru_cache\n"
         "_SEEN = {}\n"
         "_KEYS: dict[int, int] = dict()\n"
-        "_FULL_CATALOGS = set()\n"
+        "_GENERATED = set()\n"
         "_ORDER = [3, 1]\n"
         "@functools.cache\n"
         "def f(x):\n"
@@ -82,10 +82,10 @@ def test_caches_detected():
         "other.py line 11: @lru_cache on g",
         "other.py line 3: _SEEN starts empty",
         "other.py line 4: _KEYS starts empty",
-        "other.py line 5: _FULL_CATALOGS starts empty",
+        "other.py line 5: _GENERATED starts empty",
     ]
     # the one allowed cache is allowed in catalog.py only
-    assert caches("catalog.py", "_FULL_CATALOGS: dict = {}\n") == []
+    assert caches("catalog.py", "_GENERATED: dict = {}\n") == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)

@@ -21,9 +21,11 @@ from domexc.catalog import (
     Catalog,
     CatalogQuery,
     REGULAR_CAP,
+    all_graph_classes,
     generate_all_graphs,
     generate_regular,
     load_catalog,
+    regular_classes,
     save_catalog,
     search,
 )
@@ -220,7 +222,7 @@ def test_lex_max_prefix_partial_oracle(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(catalog, "_lex_max_prefix", recorded)
         m.setattr(catalog, "_orderly", visiting)
-        catalog._FULL_CATALOGS.clear()
+        catalog._GENERATED.clear()
         for n in range(1, 8):
             for k in range(n):
                 if n * k % 2 == 0:
@@ -281,7 +283,7 @@ def test_partial_prefix_tests_only_prune(monkeypatch):
     specs = [(generate_all_graphs, (n,)) for n in range(1, 7)]
     specs += [(generate_regular, (n, k)) for n in range(1, 10) for k in range(n) if n * k % 2 == 0]
     lex_max_prefix = catalog._lex_max_prefix
-    catalog._FULL_CATALOGS.clear()
+    catalog._GENERATED.clear()
     want = [[g.adj for g in generate(*args)] for generate, args in specs]
     rng = random.Random(28)
 
@@ -292,9 +294,9 @@ def test_partial_prefix_tests_only_prune(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(catalog, "_lex_max_prefix", some_skipped)
-        catalog._FULL_CATALOGS.clear()
+        catalog._GENERATED.clear()
         got = [[g.adj for g in generate(*args)] for generate, args in specs]
-    catalog._FULL_CATALOGS.clear()
+    catalog._GENERATED.clear()
     assert got == want
 
     tests = []
@@ -326,7 +328,7 @@ def test_regular_builds_one_graph_per_class(monkeypatch):
 
     monkeypatch.setattr(catalog, "_trusted", counted)
     monkeypatch.setattr(domexc.canon, "_lex_max_rows", refused)
-    catalog._FULL_CATALOGS.clear()
+    catalog._GENERATED.clear()
     cat = generate_regular(10, 5)
     assert len(cat) == 60
     assert len(built) == 60
@@ -336,12 +338,17 @@ def test_regular_builds_one_graph_per_class(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "generate, args, spec",
-    [(generate_all_graphs, (5,), "all:n=5"), (generate_regular, (8, 3), "regular:n=8:k=3")],
+    "classes, generate, args, spec",
+    [
+        (all_graph_classes, generate_all_graphs, (5,), "all:n=5"),
+        (regular_classes, generate_regular, (8, 3), "regular:n=8:k=3"),
+    ],
     ids=["all", "regular"],
 )
-def test_catalog_built_once(monkeypatch, generate, args, spec):
-    # every call form shares one cache entry, the full catalog of n (and k)
+def test_catalog_built_once(monkeypatch, classes, generate, args, spec):
+    # every call form of both functions shares one cache entry: the classes
+    # of n (and k) are generated once, whether they or the catalog are asked
+    # for first, and the full catalog keys and sorts those same graphs
     calls = []
     orderly = catalog._orderly
 
@@ -349,16 +356,28 @@ def test_catalog_built_once(monkeypatch, generate, args, spec):
         calls.append(n)
         return orderly(n, *rest)
 
+    def unkeyed():
+        return [classes(*args), classes(*args, False), classes(*args, connected_only=False)]
+
     monkeypatch.setattr(catalog, "_orderly", counted)
-    catalog._FULL_CATALOGS.clear()
-    full = [generate(*args), generate(*args, False), generate(*args, connected_only=False)]
-    connected = [generate(*args, True), generate(*args, connected_only=True)]
-    assert calls == [args[0]]
-    assert full[0] is full[1] is full[2]
-    kept = [(g, key) for g, key in zip(full[0].graphs, full[0].keys) if g.is_connected()]
-    for cat in connected:
-        assert list(zip(cat.graphs, cat.keys)) == kept
-        assert cat.source == f"generated:{spec}:connected=true"
+    for classes_first in (True, False):
+        calls.clear()
+        catalog._GENERATED.clear()
+        plain = unkeyed() if classes_first else None
+        full = [generate(*args), generate(*args, False), generate(*args, connected_only=False)]
+        connected = [generate(*args, True), generate(*args, connected_only=True)]
+        plain = plain or unkeyed()
+        in_order = tuple(g for g in plain[0] if g.is_connected())
+        assert classes(*args, True) == classes(*args, connected_only=True) == in_order
+        assert calls == [args[0]]
+        assert full[0] is full[1] is full[2]
+        assert plain[0] is plain[1] is plain[2]
+        # sorting the classes by key gives the catalog, object for object
+        assert list(map(id, sorted(plain[0], key=canonical_key))) == list(map(id, full[0].graphs))
+        kept = [(g, key) for g, key in zip(full[0].graphs, full[0].keys) if g.is_connected()]
+        for cat in connected:
+            assert list(zip(cat.graphs, cat.keys)) == kept
+            assert cat.source == f"generated:{spec}:connected=true"
 
 
 def test_regular_edge_cases():

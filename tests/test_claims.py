@@ -6,8 +6,12 @@ from functools import partial
 
 import pytest
 
+from domexc import catalog, claims
+from domexc.canon import canonical_key
 from domexc.claims import CLAIMS, Claim, ClaimReport, _failures, claim_ids, run_claim, run_suite
 from domexc.domination import ParamResult
+from domexc.graph6 import to_graph6
+from domexc.graphs import cartesian_product, complete
 
 
 def test_suite_composition():
@@ -152,6 +156,98 @@ def test_failure_lines_pinned(monkeypatch):
     inflate_solver(monkeypatch)
     digest = failure_digest(MUTATION_CLAIMS)
     assert digest == "1589ab377cbc348f3d5fabaf5788716b5267130cf9026727669cacf716ca8fe7"
+
+
+def set_pattern_verdict(verdict):
+    """A mutation making every pattern test answer verdict.
+
+    It patches catalog too, where search ran the pattern test for the
+    claims when the catalog pins were recorded.
+    """
+
+    def mutate(monkeypatch):
+        for module in ("domexc.claims", "domexc.catalog"):
+            monkeypatch.setattr(f"{module}.is_pattern_excellent", lambda *a, **k: verdict)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, line_counts, value_claims, want",
+    [
+        (
+            inflate_solver,
+            {
+                "edge-critical-pairs": 250,
+                "independence-equals-domination": 140,
+                "degree-ratio-bound": 106,
+            },
+            ["five-regular-order-ten"],
+            "888301138cc27506f0f385e910dcf99b14054824fcbf439c1c8b3301ec2ece24",
+        ),
+        (
+            set_pattern_verdict(True),
+            {"no-path3-at-three": 180, "regular-order-bound": 26},
+            ["four-regular-nine-survey"],
+            "dad7c5c82a09ac8c65f137c3caee75634a1d016baf91b5d730624d16e11a05b7",
+        ),
+        (
+            set_pattern_verdict(False),
+            {"edge-critical-pairs": 50},
+            ["four-regular-nine-product"],
+            "a1619094fd4f091922e081eaa675b20da2f9698082698695802d2122b3dd98ef",
+        ),
+    ],
+    ids=["inflated", "every-pattern", "no-pattern"],
+)
+def test_catalog_failure_lines_pinned(monkeypatch, mutate, line_counts, value_claims, want):
+    # the catalog claims' reports under mutations that make each one report,
+    # recorded while every claim still read a keyed, key-sorted Catalog: a
+    # claim that iterates classes in generation order must report in that
+    # catalog order, graph6 lines and survey list included
+    mutate(monkeypatch)
+    values = [run_claim(cid).to_json() for cid in value_claims]
+    assert all(r["status"] == "fail" for r in values)
+    blob = failure_digest(line_counts) + json.dumps(values, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == want
+
+
+CATALOG_CLAIMS = [
+    "edge-critical-pairs",
+    "independence-equals-domination",
+    "no-path3-at-three",
+    "degree-ratio-bound",
+    "five-regular-order-ten",
+    "four-regular-nine-count",
+    "four-regular-nine-survey",
+    "four-regular-nine-product",
+    "regular-order-bound",
+]
+
+
+def test_catalog_claims_key_only_what_they_report(monkeypatch):
+    # the catalog claims iterate unkeyed classes: the only keys are the K3
+    # hits the survey lists and the product claim compares, and K3xK3
+    # itself; no claim builds a keyed, sorted Catalog
+    keyed = []
+
+    def counted(g):
+        keyed.append(to_graph6(g))
+        return canonical_key(g)
+
+    def refused(*args):
+        raise AssertionError("a claim reached _sorted_catalog")
+
+    for module in (catalog, claims):
+        monkeypatch.setattr(module, "canonical_key", counted)
+    monkeypatch.setattr(catalog, "_sorted_catalog", refused)
+    monkeypatch.setattr(catalog, "_GENERATED", {})
+    reports = {cid: run_claim(cid) for cid in CATALOG_CLAIMS}
+    assert [cid for cid, r in reports.items() if r.status == "fail"] == ["four-regular-nine-survey"]
+    hits = reports["four-regular-nine-survey"].computed["graph6"]
+    rook = to_graph6(cartesian_product(complete(3), complete(3)))
+    assert len(hits) == 3
+    assert sorted(keyed) == sorted(hits + [rook] + hits)
 
 
 def test_pattern_failure_lines_pinned(monkeypatch):
