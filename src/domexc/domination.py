@@ -1,8 +1,10 @@
 """Exact domination-type parameters and complete minimum-set enumeration.
 
-Eight parameters are supported, and one search serves them all. For each
-target size a depth-first cover search branches on an uncovered vertex
-with the fewest covering options. Every node carries a banned mask: the
+Eight parameters are supported, and one search serves them all. It is
+set up once per solve and sweeps the target sizes itself: for each size
+in turn a depth-first cover search branches on an uncovered vertex with
+the fewest covering options, and at the first size that has sets every
+satisfying set is collected. Every node carries a banned mask: the
 vertices its earlier siblings already tried, which it never adds. So the
 children split their parent's sets, every set is reached along exactly
 one path, and no memo of visited sets is kept. Once coverage saturates
@@ -12,29 +14,30 @@ restrained and outer-connected variants) are still found, each once. The
 restrained variants also force at every node: a vertex outside the set
 whose neighbours all lie in it must join, and when it is banned the
 branch ends; a set that reaches the target size with nothing forced is
-restrained. An outer-connected set that leaves two or more vertices
-outside is restrained too, so those sizes force the same way. The
-outer-connected variants also cut on the outside's connectivity: below
-size n the outside of a set is nonempty and connected, and the banned
-vertices never join the set, so the whole outside lies in the component
-of what the partial set leaves that holds the least banned vertex. A
-banned vertex outside that component ends the branch, and every vertex
-outside it is forced in. The sizes are tried in turn and at the first
-feasible one every satisfying set is collected. The sweep starts at the
-larger of ceil(n/(Δ+1)) and a packing floor: a greedy count of vertices
-whose footprints (closed neighbourhoods, or open ones for the total
-variants) are pairwise disjoint, each of which needs its own member of
-the set. On trees and forests the packing number equals the domination
-number (Meir and Moon, Relations between packing and covering numbers
-of a tree, 1975), so there the sweep mostly starts at the value.
-Independent domination is closed-neighborhood domination plus
-independence: its search only adds vertices that are not yet covered,
-so every partial set stays independent. The maximum independent sets are
-exactly the independent dominating sets of the largest size that has
-one, so the independence number runs the same search with the sizes
-tried from the top down. That sweep starts at n - |M| for a greedy
-maximal matching M, since an independent set holds at most one end of
-each matching edge.
+restrained. After a node forces, every vertex outside has a neighbour
+outside, so a child need only check the neighbours of the one vertex it
+added; that invariant is what makes the check local. An outer-connected
+set that leaves two or more vertices outside is restrained too, so those
+sizes force the same way. The outer-connected variants also cut on the
+outside's connectivity: below size n the outside of a set is nonempty
+and connected, and the banned vertices never join the set, so the whole
+outside lies in the component of what the partial set leaves that holds
+the least banned vertex. A banned vertex outside that component ends the
+branch, and every vertex outside it is forced in; forcing whole
+components keeps the invariant. The sweep starts at the larger of
+ceil(n/(Δ+1)) and a packing floor: a greedy count of vertices whose
+footprints (closed neighbourhoods, or open ones for the total variants)
+are pairwise disjoint, each of which needs its own member of the set. On
+trees and forests the packing number equals the domination number (Meir
+and Moon, Relations between packing and covering numbers of a tree,
+1975), so there the sweep mostly starts at the value. Independent
+domination is closed-neighborhood domination plus independence: its
+search only adds vertices that are not yet covered, so every partial set
+stays independent. The maximum independent sets are exactly the
+independent dominating sets of the largest size that has one, so the
+independence number runs the same search with the sizes tried from the
+top down. That sweep starts at n - |M| for a greedy maximal matching M,
+since an independent set holds at most one end of each matching edge.
 """
 
 from __future__ import annotations
@@ -177,9 +180,13 @@ def _packing_floor(foot: list[int]) -> int:
     return count
 
 
-def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
-    """All (or any) sets of size exactly k satisfying param's predicate.
+def _cover_search(g: Graph, sizes, param: Param, first_only: bool, foot: list[int]):
+    """(k, sets) for the first k in sizes that has sets satisfying param, else None.
 
+    sets holds every set of size exactly k that satisfies param, sorted,
+    or one of them when first_only; foot is _footprints(g, param). The
+    footprints, flags and search closure are set up once, and the sizes
+    are drawn in turn, one depth-first search each, until one has sets.
     Each call carries a banned mask: the vertices its earlier siblings
     already tried, which it never adds, whether it branches on the
     options of an uncovered vertex or, once the set dominates, on the
@@ -187,31 +194,33 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
     and none of the siblings before it, so the children split their
     parent's sets and every set is reached along one path. Forcing keeps
     the split: a forced vertex lies in every set below the node, and a
-    forced banned vertex leaves the node no sets at all. Restrained
-    forcing takes the outside vertices with no outside neighbour. For the
-    outer-connected parameters below k = n the banned vertices outside
-    the set lie in the final outside, which is connected, so the node
-    forces every vertex outside the component of the outside that holds
-    the least of them, and has no sets when they are not all in it. One
-    round of both rules is their fixpoint. For independent parameters a
-    partial set that already dominates is a maximal independent set, so
-    it is never completed: it is a hit only when its size is k.
+    forced banned vertex leaves the node no sets at all.
+
+    Restrained forcing takes the outside vertices with no outside
+    neighbour. For the outer-connected parameters below k = n the banned
+    vertices outside the set lie in the final outside, which is connected,
+    so the node forces every vertex outside the component of the outside
+    that holds the least of them, and has no sets when they are not all
+    in it. One round of both rules is their fixpoint. Neither rule strands
+    an outside vertex: a restrained-forced vertex has no outside
+    neighbour, and the cut removes whole components of the outside. So
+    after a node's forcing every outside vertex has an outside neighbour,
+    and when a child adds u only the outside neighbours of u can have lost
+    their last one: the child checks those (check is adj[u]), and the root
+    checks every vertex. For independent parameters a partial set that
+    already dominates is a maximal independent set, so it is never
+    completed: it is a hit only when its size is k.
     """
-    full, adj = g.full_mask, g.adj
-    foot = _footprints(g, param)
+    n, full, adj = g.n, g.full_mask, g.adj
     max_new = max((f.bit_count() for f in foot), default=0)
-    # a connected outside of two or more vertices gives each outside vertex
-    # an outside neighbour, so those outer-connected sets force as well
-    forcing = param.restrained or (param.outer_connected and k <= g.n - 2)
-    # below k = n an outer-connected outside is nonempty and connected
-    cutting = param.outer_connected and k < g.n
-    plain = not param.outer_connected
+    restrained, outer = param.restrained, param.outer_connected
+    plain = not outer
     # covered is the closed neighborhood of the set, so only uncovered
     # candidates keep it independent
     independent = param.independent
     results: list[int] = []
 
-    def dfs(s: int, covered: int, banned: int) -> bool:
+    def dfs(s: int, covered: int, banned: int, check: int) -> bool:
         # one round of both rules is their fixpoint: the first takes the
         # isolated vertices of the outside and the second whole components
         # of it, and neither leaves a vertex that either rule would take
@@ -220,23 +229,38 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
             forced = 0
             if forcing:
                 # an outside vertex with no outside neighbour has none in
-                # any superset either, so a restrained superset must take it
-                for v in iter_bits(outside):
-                    if not adj[v] & outside:
-                        forced |= 1 << v
+                # any superset either, so a restrained superset must take it;
+                # only a neighbour of the vertex just added can have lost its
+                # last one
+                near = check & outside
+                while near:
+                    low = near & -near
+                    near ^= low
+                    if not adj[low.bit_length() - 1] & outside:
+                        forced |= low
                 if forced & banned:
                     return False
             home = banned & outside if cutting else 0
             if home:
                 # banned vertices stay outside, and a connected outside
                 # lies in the component of this one that holds them
-                comp = g.reach(home & -home, outside)
+                comp = frontier = home & -home
+                while frontier and comp != outside:
+                    grow = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        frontier ^= low
+                        grow |= adj[low.bit_length() - 1]
+                    frontier = grow & outside & ~comp
+                    comp |= frontier
                 if home & ~comp:
                     return False
                 forced |= outside & ~comp
             s |= forced
-            for v in iter_bits(forced):
-                covered |= foot[v]
+            while forced:
+                low = forced & -forced
+                forced ^= low
+                covered |= foot[low.bit_length() - 1]
         size = s.bit_count()
         if size >= k:
             if size > k or covered != full or not (plain or _extra_ok(g, s, param)):
@@ -272,15 +296,25 @@ def _cover_search(g: Graph, k: int, param: Param, first_only: bool):
         while options:
             low = options & -options
             options ^= low
-            if dfs(s | low, covered | foot[low.bit_length() - 1], banned):
+            u = low.bit_length() - 1
+            if dfs(s | low, covered | foot[u], banned, adj[u]):
                 hit = True
                 if first_only:
                     return True
             banned |= low
         return hit
 
-    dfs(0, 0, 0)
-    return sorted(results)
+    # dfs reads k, forcing and cutting as this loop sets them
+    for k in sizes:
+        # a connected outside of two or more vertices gives each outside
+        # vertex an outside neighbour, so those outer-connected sets force
+        forcing = restrained or (outer and k <= n - 2)
+        # below k = n an outer-connected outside is nonempty and connected
+        cutting = outer and k < n
+        dfs(0, 0, 0, full)
+        if results:
+            return k, sorted(results)
+    return None
 
 
 def _matching_size(g: Graph) -> int:
@@ -302,17 +336,17 @@ def _solve(g: Graph, param: Param, first_only: bool) -> ParamResult:
             f"{param.id} is undefined: graph has an isolated vertex"
         )
     lower = max(1, -(-g.n // (g.max_degree() + 1)))
+    foot = _footprints(g, param)
     if param is Param.INDEPENDENCE:
         # every maximum independent set dominates, so beta0 is the largest
         # hit; an independent set holds one end of a matching edge at most
         sizes = range(g.n - _matching_size(g), lower - 1, -1)
     else:
-        sizes = range(max(lower, _packing_floor(_footprints(g, param))), g.n + 1)
-    for k in sizes:
-        found = _cover_search(g, k, param, first_only)
-        if found:
-            return ParamResult(param, k, tuple(found))
-    raise AssertionError(f"no feasible set found for {param.id}")
+        sizes = range(max(lower, _packing_floor(foot)), g.n + 1)
+    found = _cover_search(g, sizes, param, first_only, foot)
+    if found is None:
+        raise AssertionError(f"no feasible set found for {param.id}")
+    return ParamResult(param, found[0], tuple(found[1]))
 
 
 def param_value(g: Graph, param: Param) -> int:
@@ -343,7 +377,8 @@ def critical_split(g: Graph, *, result: ParamResult | None = None) -> tuple[int,
     below = (result.value if result is not None else param_value(g, Param.GAMMA)) - 1
     drops = 0
     for v in range(g.n):
-        if _cover_search(g.delete_vertex(v), below, Param.GAMMA, first_only=True):
+        h = g.delete_vertex(v)
+        if _cover_search(h, (below,), Param.GAMMA, True, _footprints(h, Param.GAMMA)):
             drops |= 1 << v
     return drops, g.full_mask & ~drops
 
@@ -371,7 +406,8 @@ def is_edge_addition_critical(g: Graph) -> bool:
     """
     below = param_value(g, Param.GAMMA) - 1
     for u, v in g.non_edges():
-        if not _cover_search(g.add_edge(u, v), below, Param.GAMMA, first_only=True):
+        h = g.add_edge(u, v)
+        if not _cover_search(h, (below,), Param.GAMMA, True, _footprints(h, Param.GAMMA)):
             return False
     return True
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -247,12 +248,85 @@ def _cliques(n, rng):
 def test_outer_connected_oracle_disconnected(build, seed):
     # graphs with several components or long induced paths, where a partial
     # set splits what it leaves and the search cuts on the outside's
-    # connectivity
+    # connectivity; the restrained pair forces on the same graphs, where a
+    # child checks only the neighbours of the vertex it added
     rng = random.Random(seed)
     for _ in range(13):
         g = build(rng.randrange(8, 12), rng)
-        for par in OUTER_CONNECTED_PARAMS:
+        for par in OUTER_CONNECTED_PARAMS + (Param.RESTRAINED, Param.TOTAL_RESTRAINED):
             oracle_agrees(g, par.id)
+
+
+# dfs calls of min_sets for gamma, gamma_r, gamma_tr, gamma_oc and gamma_t_oc
+# (None where undefined), recorded before the restrained check went local to
+# the vertex just added and the size sweep moved into the search: cheaper
+# nodes, the same tree; only the root's full check forces isolated vertices
+COVER_NODES = {
+    "K1,15": (complete_multipartite([1, 15]), (3, 167, 30, 269, 147)),
+    "K1,15+2K1": (
+        disjoint_union([edgeless(2), complete_multipartite([1, 15])]),
+        (5, 167, None, 271, None),
+    ),
+    "5K3": (disjoint_union([complete(3)] * 5), (364, 364, 141, 304, 113)),
+    "C16": (cycle(16), (260, 112, 50, 270, 147)),
+    "P16": (path(16), (136, 16, 62, 216, 90)),
+}
+
+
+@pytest.mark.parametrize("name", COVER_NODES)
+def test_cover_search_nodes_pinned(name):
+    g, want = COVER_NODES[name]
+    counts = []
+    for par in (Param.GAMMA, Param.RESTRAINED, Param.TOTAL_RESTRAINED, *OUTER_CONNECTED_PARAMS):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "dfs":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            min_sets(g, par)
+        except ParameterUndefinedError:
+            calls = None
+        finally:
+            sys.setprofile(None)
+        counts.append(calls)
+    assert tuple(counts) == want
+
+
+def _panel_above_seven():
+    rng = random.Random(30)
+    trees = []
+    for _ in range(6):
+        n = rng.randrange(12, 17)
+        trees.append(from_edges(n, [(rng.randrange(v), v) for v in range(1, n)]))
+    return (
+        [complete_multipartite([1, m]) for m in range(12, 16)]
+        + [disjoint_union([complete(3)] * k) for k in range(3, 6)]
+        + [cycle(n) for n in range(12, 17)]
+        + [path(n) for n in range(12, 17)]
+        + trees
+    )
+
+
+# sha256 of [graph6, id, value, optimal sets] for the restrained and
+# outer-connected parameters on stars, triangle unions, cycles, paths and
+# six seeded trees of order 12 to 16, recorded before the restrained check
+# went local to the vertex just added
+MIN_SETS_PANEL_SHA256 = "47d8e476397e5fd140cb4d9e57bdf137a40adc7edee2fc0fffda598649604729"
+
+
+def test_min_sets_pinned_above_order_seven():
+    params = (Param.RESTRAINED, Param.TOTAL_RESTRAINED, *OUTER_CONNECTED_PARAMS)
+    rows = []
+    for g in _panel_above_seven():
+        for par in params:
+            res = min_sets(g, par)
+            rows.append([to_graph6(g), par.id, res.value, list(res.sets)])
+    assert len(rows) == 23 * len(params)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MIN_SETS_PANEL_SHA256
 
 
 def test_total_undefined_with_isolates():
@@ -332,9 +406,13 @@ def test_independence_sweep_starts_at_matching_bound(monkeypatch, g, sweep):
     sizes = []
     real = dom._cover_search
 
-    def recorded(h, k, param, first_only):
-        sizes.append(k)
-        return real(h, k, param, first_only)
+    def recorded(h, todo, *rest):
+        def drawn():
+            for k in todo:
+                sizes.append(k)
+                yield k
+
+        return real(h, drawn(), *rest)
 
     monkeypatch.setattr(dom, "_cover_search", recorded)
     res = min_sets(g, Param.INDEPENDENCE)
