@@ -18,7 +18,14 @@ restrained. After a node forces, every vertex outside has a neighbour
 outside, so a child need only check the neighbours of the one vertex it
 added; that invariant is what makes the check local. An outer-connected
 set that leaves two or more vertices outside is restrained too, so those
-sizes force the same way. The outer-connected variants also cut on the
+sizes force the same way. At every forcing size the search starts from
+the vertices of degree 1 or less rather than from the empty set: a
+vertex outside such a set has a neighbour inside and one outside, so
+those vertices lie in every set the size can have (Domke, Hattingh,
+Hedetniemi, Laskar and Markus, Restrained domination in graphs, 1999,
+use this on trees), and the root's full check forces what follows from
+them at once; a star's centre joins at the root.
+The outer-connected variants also cut on the
 outside's connectivity: below size n the outside of a set is nonempty
 and connected, and the banned vertices never join the set, so the whole
 outside lies in the component of what the partial set leaves that holds
@@ -207,9 +214,15 @@ def _cover_search(g: Graph, sizes, param: Param, first_only: bool, foot: list[in
     after a node's forcing every outside vertex has an outside neighbour,
     and when a child adds u only the outside neighbours of u can have lost
     their last one: the child checks those (check is adj[u]), and the root
-    checks every vertex. For independent parameters a partial set that
-    already dominates is a maximal independent set, so it is never
-    completed: it is a hit only when its size is k.
+    checks every vertex. At a forcing size the root is the set of vertices
+    of degree 1 or less with their footprints covered: outside a restrained
+    set, or an outer-connected one that leaves two or more vertices out,
+    each vertex has a neighbour inside and one outside, so every set of the
+    size holds the root, and the split below it still reaches each set
+    once. A size below the root's count ends at the root. For independent
+    parameters a partial set that already dominates is a maximal
+    independent set, so it is never completed: it is a hit only when its
+    size is k.
     """
     n, full, adj = g.n, g.full_mask, g.adj
     max_new = max((f.bit_count() for f in foot), default=0)
@@ -304,6 +317,14 @@ def _cover_search(g: Graph, sizes, param: Param, first_only: bool, foot: list[in
             banned |= low
         return hit
 
+    # an outside vertex of a forcing size needs a neighbour inside and one
+    # outside, so every vertex of degree 1 or less lies in every such set
+    root = root_cov = 0
+    if restrained or outer:
+        for v, row in enumerate(adj):
+            if row.bit_count() <= 1:
+                root |= 1 << v
+                root_cov |= foot[v]
     # dfs reads k, forcing and cutting as this loop sets them
     for k in sizes:
         # a connected outside of two or more vertices gives each outside
@@ -311,7 +332,10 @@ def _cover_search(g: Graph, sizes, param: Param, first_only: bool, foot: list[in
         forcing = restrained or (outer and k <= n - 2)
         # below k = n an outer-connected outside is nonempty and connected
         cutting = outer and k < n
-        dfs(0, 0, 0, full)
+        if forcing:
+            dfs(root, root_cov, 0, full)
+        else:
+            dfs(0, 0, 0, full)
         if results:
             return k, sorted(results)
     return None

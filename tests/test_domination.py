@@ -37,7 +37,7 @@ from domexc.graphs import (
 )
 from domexc.trees import enumerate_trees
 from helpers import random_graph
-from oracles import brute, brute_critical_split, brute_edge_critical
+from oracles import adjacency, brute, brute_critical_split, brute_edge_critical
 
 
 OUTER_CONNECTED_PARAMS = (Param.OUTER_CONNECTED, Param.TOTAL_OUTER_CONNECTED)
@@ -257,19 +257,82 @@ def test_outer_connected_oracle_disconnected(build, seed):
             oracle_agrees(g, par.id)
 
 
+FORCING_PARAMS = (Param.RESTRAINED, Param.TOTAL_RESTRAINED, *OUTER_CONNECTED_PARAMS)
+
+
+def test_low_degree_vertices_lie_in_every_forcing_set():
+    # a vertex outside a restrained set has a neighbour inside and one
+    # outside, and so has one outside an outer-connected set that leaves two
+    # or more vertices out; the cover search starts those sizes with every
+    # vertex of degree 1 or less already in the set
+    for n in range(1, 8):
+        for g in generate_all_graphs(n):
+            low = sum(1 << v for v, row in enumerate(adjacency(g)) if len(row) <= 1)
+            for par in FORCING_PARAMS:
+                try:
+                    _, sets = brute(g, par.id)
+                except ValueError:
+                    continue
+                for s in sets:
+                    if par.restrained or n - s.bit_count() >= 2:
+                        assert s & low == low, (to_graph6(g), par.id, s)
+
+
+def test_restrained_closed_forms():
+    # on a path or cycle the outside of a restrained set is runs of exactly
+    # two vertices, each beside the set; the set's runs have one vertex or
+    # more, or two or more for the total variant, and both ends of a path
+    # lie in the set, which leaves 2 floor((n - 1)/3) and 2 floor((n - 2)/4)
+    # vertices outside on P_n and 2 floor(n/3) and 2 floor(n/4) on C_n
+    # (Domke, Hattingh, Hedetniemi, Laskar & Markus 1999 for gamma_r)
+    for n in range(4, 65):
+        for g, par, want in (
+            (path(n), Param.RESTRAINED, n - 2 * ((n - 1) // 3)),
+            (cycle(n), Param.RESTRAINED, n - 2 * (n // 3)),
+            (path(n), Param.TOTAL_RESTRAINED, n - 2 * ((n - 2) // 4)),
+            (cycle(n), Param.TOTAL_RESTRAINED, n - 2 * (n // 4)),
+        ):
+            assert param_value(g, par) == want, (n, par.id)
+
+
+def test_forcing_sets_follow_a_relabelling():
+    # seeded trees, and trees with up to three extra edges, of order 13 to
+    # 40: relabelling keeps the value and maps each optimal set to its image
+    rng = random.Random(31)
+    for i in range(12):
+        n = rng.randrange(13, 41)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        for _ in range(i % 2 * rng.randrange(1, 4)):
+            u, v = rng.sample(range(n), 2)
+            if (u, v) not in edges and (v, u) not in edges:
+                edges.append((u, v))
+        g = from_edges(n, edges)
+        order = list(range(n))
+        rng.shuffle(order)
+        h = g.relabel(order)
+        pos = {v: j for j, v in enumerate(order)}
+        for par in FORCING_PARAMS:
+            res = min_sets(g, par)
+            image = tuple(sorted(sum(1 << pos[v] for v in range(n) if s >> v & 1) for s in res.sets))
+            assert min_sets(h, par) == ParamResult(par, res.value, image)
+
+
 # dfs calls of min_sets for gamma, gamma_r, gamma_tr, gamma_oc and gamma_t_oc
 # (None where undefined), recorded before the restrained check went local to
 # the vertex just added and the size sweep moved into the search: cheaper
-# nodes, the same tree; only the root's full check forces isolated vertices
+# nodes, the same tree; only the root's full check forces isolated vertices.
+# The star and path counts were re-recorded lower when the forcing sizes
+# began to start their root at the vertices of degree 1 or less; 5K3 and
+# C16 have none and kept theirs
 COVER_NODES = {
-    "K1,15": (complete_multipartite([1, 15]), (3, 167, 30, 269, 147)),
+    "K1,15": (complete_multipartite([1, 15]), (3, 16, 15, 150, 134)),
     "K1,15+2K1": (
         disjoint_union([edgeless(2), complete_multipartite([1, 15])]),
-        (5, 167, None, 271, None),
+        (5, 16, None, 152, None),
     ),
     "5K3": (disjoint_union([complete(3)] * 5), (364, 364, 141, 304, 113)),
     "C16": (cycle(16), (260, 112, 50, 270, 147)),
-    "P16": (path(16), (136, 16, 62, 216, 90)),
+    "P16": (path(16), (136, 13, 61, 189, 89)),
 }
 
 
